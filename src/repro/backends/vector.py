@@ -319,6 +319,84 @@ class VectorState:
                 live[None, :], self._reqk[:, idx, j], 0.0
             )
 
+    def extend(self, instance: Instance, processor: int) -> None:
+        """Adopt *instance*: this state's instance plus one job on *processor*.
+
+        Writes only the new job's row into the padded tables, which
+        grow by doubling their job capacity when a queue fills them; a
+        new processor adds one lane, released at its release time like
+        the lanes of a fresh state.  The resulting state equals a
+        checkpoint of this state restored into *instance*, including
+        its known defect: on a queue that had already drained, the
+        active views load the new job but ``remaining`` stays 0, so the
+        job completes at its first active step without consuming work.
+        """
+        job = instance.job(processor, instance.num_jobs(processor) - 1)
+        if processor == self.num_processors:
+            self._add_lane(instance.release(processor))
+        i = processor
+        j = int(self.num_jobs[i])
+        if j == self._req.shape[1]:
+            self._grow_tables(2 * j)
+        self._req[i, j] = float(job.requirement)
+        self._work[i, j] = float(job.work)
+        self._wgt[i, j] = float(job.weight)
+        if job.deadline is not None:
+            self._dl[i, j] = float(job.deadline)
+        if self._reqk is not None:
+            for lane, r in enumerate(job.requirements):
+                self._reqk[lane, i, j] = float(r)
+        self.num_jobs[i] = j + 1
+        self.instance = instance
+        if self._released[i] and self.done[i] == j:
+            # The job becomes active at once: a new lane released at
+            # step 0, or a drained queue (whose remaining stays 0, see
+            # above).
+            if j == 0:
+                self.remaining[i] = self._work[i, 0]
+            self.active_requirements[i] = self._req[i, j]
+            self.active_weights[i] = self._wgt[i, j]
+            self.active_deadlines[i] = self._dl[i, j]
+            if self._reqk is not None:
+                self.active_req_matrix[:, i] = self._reqk[:, i, j]
+
+    def _add_lane(self, release: int) -> None:
+        """Append one empty, zero-masked processor lane."""
+        released = release <= 0
+        self.num_jobs = np.append(self.num_jobs, 0)
+        self.done = np.append(self.done, 0)
+        self.remaining = np.append(self.remaining, 0.0)
+        self.active_requirements = np.append(self.active_requirements, 0.0)
+        self.active_weights = np.append(self.active_weights, 0.0)
+        self.active_deadlines = np.append(self.active_deadlines, np.inf)
+        self._release = np.append(self._release, release)
+        self._released = np.append(self._released, released)
+        self._all_released = self._all_released and released
+        self._req = np.vstack([self._req, np.zeros_like(self._req[:1])])
+        self._work = np.vstack([self._work, np.zeros_like(self._work[:1])])
+        self._wgt = np.vstack([self._wgt, np.zeros_like(self._wgt[:1])])
+        self._dl = np.vstack([self._dl, np.full_like(self._dl[:1], np.inf)])
+        if self._reqk is None:
+            m = self.num_processors
+            self.active_req_matrix = self.active_requirements.reshape(1, m)
+        else:
+            self._reqk = np.concatenate(
+                [self._reqk, np.zeros_like(self._reqk[:, :1])], axis=1
+            )
+            self.active_req_matrix = np.concatenate(
+                [self.active_req_matrix, np.zeros_like(self.active_req_matrix[:, :1])],
+                axis=1,
+            )
+
+    def _grow_tables(self, capacity: int) -> None:
+        """Widen the padded per-job tables to *capacity* jobs per lane."""
+        self._req = _widened(self._req, capacity, 0.0)
+        self._work = _widened(self._work, capacity, 0.0)
+        self._wgt = _widened(self._wgt, capacity, 0.0)
+        self._dl = _widened(self._dl, capacity, np.inf)
+        if self._reqk is not None:
+            self._reqk = _widened(self._reqk, capacity, 0.0)
+
     def advance(self, finished: np.ndarray) -> None:
         """Complete the active jobs of the *finished* index array.
 
@@ -344,6 +422,13 @@ class VectorState:
                 :, has_next, self.done[has_next]
             ]
             self.active_req_matrix[:, exhausted] = 0.0
+
+
+def _widened(table: np.ndarray, capacity: int, fill: float) -> np.ndarray:
+    """A copy of *table* whose last axis is padded with *fill* to *capacity*."""
+    wide = np.full(table.shape[:-1] + (capacity,), fill, dtype=np.float64)
+    wide[..., : table.shape[-1]] = table
+    return wide
 
 
 class VectorRuntime(KernelRuntime):
@@ -507,6 +592,18 @@ class VectorRuntime(KernelRuntime):
         self.state.restore(data)
         if "tol" in data:
             self.tol = float(data["tol"])
+
+    def extend(self, job, processor: int, release: int | None = None) -> None:
+        """Append *job* to queue *processor* (``== m`` opens a new queue).
+
+        Grows the run in place instead of rebuilding its state; see
+        :meth:`Instance.append_job` for the arguments and
+        :meth:`VectorState.extend` for the resulting state.
+        """
+        instance = self.instance.append_job(job, processor, release=release)
+        self.state.extend(instance, processor)
+        self.instance = instance
+        self._m = instance.num_processors
 
 
 class VectorBackend(Backend):

@@ -561,13 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="logical queue cap (the service's core count)",
     )
     p_serve.add_argument(
-        "--mode",
-        choices=["incremental", "from-scratch"],
-        default="incremental",
-        help="incremental re-scheduling (the default) or the "
-        "re-simulate-from-t=0 baseline",
-    )
-    p_serve.add_argument(
         "--rate",
         type=float,
         default=1.0,
@@ -1300,7 +1293,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         admission=admission,
         max_queues=args.max_queues,
-        mode=args.mode,
     )
     report = service.run_stream(stream)
     print(f"serve: {source} ({len(stream)} arrivals)")

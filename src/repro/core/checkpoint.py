@@ -31,10 +31,9 @@ through its ``stop`` predicate:
 
 Beyond plain resume, a checkpoint may be restored into an **extended**
 instance -- one whose queues grew at the tail and/or gained whole new
-processors (with their own release times).  That is the primitive
-behind the incremental re-scheduling of :mod:`repro.service`: on a job
-arrival the engine checkpoints, extends the instance, and continues --
-instead of re-simulating from ``t=0``.
+processors (with their own release times).  The runtimes' in-place
+``extend`` (used per arrival by :mod:`repro.service`) reaches exactly
+the state such a restore yields, without rebuilding it.
 """
 
 from __future__ import annotations

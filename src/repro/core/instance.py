@@ -563,6 +563,67 @@ class Instance:
             )
         return Instance(built, releases=self._releases)
 
+    def append_job(
+        self, job: Job | Num, processor: int, *, release: int | None = None
+    ) -> "Instance":
+        """A copy with *job* appended to one queue, or opening a new one.
+
+        The growth step of an online run: ``processor < m`` appends at
+        the tail of that queue, ``processor == m`` adds a new processor
+        whose queue holds just *job* and which is released at *release*
+        (default 0).  The untouched queue tuples are shared, and only
+        the new job and the new release are validated, so the cost does
+        not depend on the size of the other queues.
+
+        Raises:
+            InvalidInstanceError: *processor* outside ``0..m``, a job
+                with a different resource count ``k``, a negative
+                release, or a *release* given for an existing queue
+                (release times are fixed once a processor exists).
+
+        Example:
+            >>> inst = Instance([["1/2"]])
+            >>> grown = inst.append_job("1/4", 0).append_job("3/4", 1, release=2)
+            >>> [len(queue) for queue in grown.queues], grown.releases
+            ([2, 1], (0, 2))
+        """
+        if not isinstance(job, Job):
+            job = Job(job)
+        if len(job.requirements) != self._k:
+            raise InvalidInstanceError(
+                f"all jobs must declare the same number of shared "
+                f"resources: the appended job has {len(job.requirements)}, "
+                f"expected {self._k}"
+            )
+        m = len(self._queues)
+        grown = Instance.__new__(Instance)
+        grown._k = self._k
+        grown._hash = None
+        if processor == m:
+            rel = 0 if release is None else int(release)
+            if rel < 0:
+                raise InvalidInstanceError(
+                    f"release times must be non-negative, got {rel}"
+                )
+            grown._queues = self._queues + ((job,),)
+            grown._releases = self._releases + (rel,)
+            return grown
+        if not 0 <= processor < m:
+            raise InvalidInstanceError(
+                f"cannot append to processor {processor} of an instance "
+                f"with {m} (use {m} to open a new queue)"
+            )
+        if release is not None:
+            raise InvalidInstanceError(
+                f"processor {processor} already exists; its release time "
+                "cannot be set by appending a job"
+            )
+        queues = list(self._queues)
+        queues[processor] = queues[processor] + (job,)
+        grown._queues = tuple(queues)
+        grown._releases = self._releases
+        return grown
+
     def with_order(self, orders: Sequence[Sequence[int]]) -> "Instance":
         """A copy with each processor's queue permuted.
 

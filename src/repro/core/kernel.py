@@ -457,6 +457,18 @@ class ExactRuntime(KernelRuntime):
         """Overwrite the runtime's state from a :meth:`capture` payload."""
         self.state.restore(data)
 
+    def extend(self, job, processor: int, release: int | None = None) -> None:
+        """Append *job* to queue *processor* (``== m`` opens a new queue).
+
+        Grows the run in place instead of rebuilding its state; see
+        :meth:`Instance.append_job` for the arguments and
+        :meth:`ExecState.extend` for the resulting state.
+        """
+        instance = self.instance.append_job(job, processor, release=release)
+        self.state.extend(instance, processor)
+        self.instance = instance
+        self._m = instance.num_processors
+
 
 class TelemetryObserver(StepObserver):
     """Kernel step metrics for one run (auto-attached under telemetry).

@@ -269,6 +269,25 @@ class ExecState:
         self.resource_spent = spent
         self._started = started
 
+    def extend(self, instance: Instance, processor: int) -> None:
+        """Adopt *instance*: this state's instance plus one job on *processor*.
+
+        In-place growth for online runs (see
+        :meth:`Instance.append_job`).  A new processor starts with its
+        first job's full work and no progress.  An existing queue keeps
+        its progress; if it had already drained, its ``remaining`` stays
+        0, so the appended job completes at its first active step
+        without consuming work -- the same state a checkpoint restored
+        into the grown instance yields.  That is a known defect of the
+        extension semantics, kept here so in-place growth and
+        checkpoint restore stay bit-identical.
+        """
+        self.instance = instance
+        if processor == len(self.done):
+            self.done.append(0)
+            self.remaining.append(instance.job(processor, 0).work)
+            self._releases = instance.releases if instance.has_releases else None
+
     # ------------------------------------------------------------------
     # Step semantics
     # ------------------------------------------------------------------

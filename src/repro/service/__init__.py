@@ -3,10 +3,9 @@
 This subpackage turns the batch-oriented kernel into a long-running
 service: :class:`SchedulingService` accepts streaming job arrivals
 (JSONL traces via :class:`TraceStream`, or seeded stochastic
-:class:`PoissonStream` workloads), re-schedules *incrementally* on
-every event through the checkpoint layer
-(:mod:`repro.core.checkpoint`) instead of re-simulating from ``t=0``,
-sheds load through pluggable admission control
+:class:`PoissonStream` workloads), grows one live kernel runtime in
+place on every admitted arrival instead of re-simulating from
+``t=0``, sheds load through pluggable admission control
 (:mod:`repro.service.admission`), and reports steady-state
 utilization plus scheduling-latency percentiles.  Runs are recorded
 as replayable event logs (:func:`replay_log`, ``crsharing replay``),

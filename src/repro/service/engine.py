@@ -3,24 +3,30 @@
 :class:`SchedulingService` keeps one live kernel runtime and reacts to
 arrival events instead of re-simulating from ``t=0``:
 
-1. **advance** the runtime to the arrival step (idle gaps are
-   fast-forwarded through the checkpoint layer, never simulated);
+1. **advance** the runtime to the arrival step (an idle gap after the
+   run has drained is skipped by moving the step counter, never
+   simulated);
 2. **place** the job -- a new logical queue while the service is
    below ``max_queues``, otherwise the least-loaded existing queue;
 3. **admit or shed** via the pluggable admission policy
    (:mod:`repro.service.admission`);
-4. on admission, **extend** the instance (tail-append or new queue
-   released at the arrival step) and restore the checkpoint into it --
-   the grown run continues bit-identically.
+4. on admission, **extend** the live runtime in place: the job's row
+   is appended to the runtime's tables (a new queue adds one lane,
+   released at the arrival step), and the run continues exactly as a
+   checkpoint restored into the grown instance would.
+
+The kernel's step limit is kept as running totals (job count, exact
+work per resource, latest release), so no event rescans the history:
+the cost of an event depends on the live backlog, not on how many jobs
+the service has seen.  ``benchmarks/bench_service.py`` gates this
+flatness: p99 submit latency at 8000 jobs stays within 1.5x of p99 at
+1000 jobs.  Checkpoints remain the persistence and replay format (the
+first arrival starts the run from one); they are off the per-event
+path.
 
 Every decision lands in an event log replayable through
 :func:`replay_log`; :meth:`SchedulingService.report` summarizes
 steady-state utilization and per-event scheduling-latency percentiles.
-
-``mode="from-scratch"`` keeps identical semantics but rebuilds the
-kernel state from ``t=0`` on every event -- the quadratic baseline the
-service benchmark gates the incremental path against (>= 5x on a
-500-job stream, see ``benchmarks/bench_service.py``).
 
 Example:
     >>> from repro.service import ArrivalEvent, SchedulingService
@@ -41,6 +47,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Iterable
 
 from ..algorithms import get_policy
@@ -49,6 +56,7 @@ from ..core.checkpoint import checkpoint_run, restore_runtime
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.kernel import CompletionRecorder, ExactRuntime, run_kernel
+from ..core.numerics import frac_ceil
 from ..core.simulator import default_step_limit
 from ..exceptions import ServiceError
 from ..io.serialization import job_from_dict, job_to_dict
@@ -59,7 +67,21 @@ from .events import ArrivalEvent
 __all__ = ["SchedulingService", "ServiceReport", "replay_log"]
 
 _BACKENDS = ("exact", "vector")
-_MODES = ("incremental", "from-scratch")
+
+
+class _CompletionLog(CompletionRecorder):
+    """A completion recorder that also queues completions not yet logged."""
+
+    __slots__ = ("fresh",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fresh: list[tuple[int, int, int]] = []
+
+    def on_complete(self, job, t: int) -> None:
+        """Record that *job* completed in step *t*, and queue it for the log."""
+        self.completion_steps[job] = t
+        self.fresh.append((t, job[0], job[1]))
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -78,7 +100,6 @@ class ServiceReport:
         policy: scheduling policy registry name.
         backend: kernel backend (``"exact"`` / ``"vector"``).
         admission: admission policy description.
-        mode: ``"incremental"`` or ``"from-scratch"``.
         num_queues: logical queues at shutdown.
         final_step: the step the run drained at (0 if nothing ran).
         submitted: arrival events offered to the service.
@@ -97,7 +118,6 @@ class ServiceReport:
     policy: str
     backend: str
     admission: str
-    mode: str
     num_queues: int
     final_step: int
     submitted: int
@@ -115,7 +135,6 @@ class ServiceReport:
             "policy": self.policy,
             "backend": self.backend,
             "admission": self.admission,
-            "mode": self.mode,
             "num_queues": self.num_queues,
             "final_step": self.final_step,
             "submitted": self.submitted,
@@ -133,7 +152,7 @@ class ServiceReport:
         lat = self.latency_percentiles
         lines = [
             f"policy={self.policy} backend={self.backend} "
-            f"admission={self.admission} mode={self.mode}",
+            f"admission={self.admission}",
             f"queues={self.num_queues} final_step={self.final_step}",
             f"events: submitted={self.submitted} admitted={self.admitted} "
             f"rejected={self.rejected} completed={self.completed} "
@@ -163,15 +182,9 @@ class SchedulingService:
         max_queues: logical queue cap -- the service grows one queue
             per early arrival up to this many "cores", then places on
             the least-loaded queue.
-        mode: ``"incremental"`` (advance the live runtime between
-            events; the point of this subsystem) or ``"from-scratch"``
-            (rebuild kernel state from ``t=0`` on every event; the
-            quadratic baseline for the benchmark gate).  Both modes
-            produce bit-identical schedules.
 
     Raises:
-        ServiceError: unknown backend/mode/admission, bad
-            ``max_queues``.
+        ServiceError: unknown backend/admission, bad ``max_queues``.
     """
 
     def __init__(
@@ -181,16 +194,11 @@ class SchedulingService:
         backend: str = "vector",
         admission: str | AdmissionPolicy = "accept-all",
         max_queues: int = 8,
-        mode: str = "incremental",
     ) -> None:
         if backend not in _BACKENDS:
             raise ServiceError(
                 f"unknown service backend {backend!r}; "
                 f"available: {list(_BACKENDS)}"
-            )
-        if mode not in _MODES:
-            raise ServiceError(
-                f"unknown service mode {mode!r}; available: {list(_MODES)}"
             )
         if max_queues < 1:
             raise ServiceError(f"max_queues must be >= 1, got {max_queues}")
@@ -199,17 +207,18 @@ class SchedulingService:
         self.backend = backend
         self.admission = get_admission(admission)
         self.max_queues = int(max_queues)
-        self.mode = mode
-        self._instance: Instance | None = None
         self._runtime = None
-        self._recorder = CompletionRecorder()
+        self._recorder = _CompletionLog()
+        # Running terms of default_step_limit(instance): the job count
+        # is ``admitted``; exact admitted work per shared resource; the
+        # latest queue release.
+        self._resource_work: list[Fraction] = []
+        self._max_release = 0
         self._clock = 0
         self._closed = False
         self._seq = 0
         self._records: list[dict[str, Any]] = []
-        self._history: list[tuple[Job, int, int]] = []
         self._latencies: list[float] = []
-        self._logged_completions: set[tuple[int, int]] = set()
         self.submitted = 0
         self.admitted = 0
         self.rejected = 0
@@ -222,75 +231,47 @@ class SchedulingService:
             return ExactRuntime(instance)
         return VectorRuntime(instance)
 
-    def _sim_to(self, target: int) -> None:
-        """Step the live runtime forward to *target* (no rebuild)."""
-        if self._instance is None:
-            return
-        limit = default_step_limit(self._instance) + target + 16
-        finished = run_kernel(
-            self._runtime,
-            self._policy,
-            (self._recorder,),
-            max_steps=limit,
-            stop=lambda rt: rt.t >= target,
-        )
-        if finished is not None and finished < target:
-            # Drained before the event: fast-forward over the idle gap
-            # instead of simulating empty steps.
-            ckpt = checkpoint_run(self._runtime).at_step(target)
-            self._runtime = restore_runtime(ckpt)
-
-    def _rebuild_from_history(self, target: int) -> None:
-        """The from-scratch baseline: replay every admitted extension
-        from ``t=0`` and re-simulate up to *target*.
-
-        A queue extension is an *event*, not part of a static
-        instance: a job appended to a queue that drained before its
-        arrival must not start before the arrival step.  Re-running
-        the extension history reproduces the incremental run
-        bit-identically while paying the full ``O(t)`` simulation cost
-        per event -- the quadratic baseline ``benchmarks/
-        bench_service.py`` gates the incremental path against.
-        """
-        self._instance = None
-        self._runtime = None
-        self._recorder = CompletionRecorder()
-        for job, queue_index, at in self._history:
-            self._sim_to(at)
-            self._extend(job, queue_index, at)
-        self._sim_to(target)
+    def _step_limit(self) -> int:
+        """``default_step_limit`` of the live instance, from running totals."""
+        bound = max(frac_ceil(work) for work in self._resource_work)
+        return 2 * (self.admitted + bound) + 16 + self._max_release
 
     def _advance(self, target: int) -> None:
-        """Bring the kernel state to step *target* (>= current clock)."""
-        if self.mode == "from-scratch":
-            self._rebuild_from_history(target)
-        else:
-            self._sim_to(target)
+        """Step the live runtime forward to *target* (>= the clock)."""
+        if self._runtime is not None:
+            finished = run_kernel(
+                self._runtime,
+                self._policy,
+                (self._recorder,),
+                max_steps=self._step_limit() + target + 16,
+                stop=lambda rt: rt.t >= target,
+            )
+            if finished is not None and finished < target:
+                # Drained before the event: jump the step counter over
+                # the idle gap, in which nothing runs (the precondition
+                # of KernelCheckpoint.at_step).
+                self._runtime.state.t = target
         self._clock = target
         self._log_new_completions()
 
     def _log_new_completions(self) -> None:
-        fresh = [
-            (t, i, j)
-            for (i, j), t in self._recorder.completion_steps.items()
-            if (i, j) not in self._logged_completions
-        ]
+        fresh = self._recorder.fresh
         for t, i, j in sorted(fresh):
-            self._logged_completions.add((i, j))
             self._records.append(
                 {"type": "completion", "t": t, "queue": i, "index": j}
             )
+        fresh.clear()
 
     # ------------------------------------------------------------------
     # Placement / admission
     # ------------------------------------------------------------------
     def _queue_backlogs(self) -> list[float]:
         """Full-speed steps of unfinished work per queue."""
-        if self._instance is None:
+        if self._runtime is None:
             return []
         state = self._runtime.state
         backlogs: list[float] = []
-        for i, queue in enumerate(self._instance.queues):
+        for i, queue in enumerate(self._runtime.instance.queues):
             done = int(state.done[i])
             steps = 0.0
             if done < len(queue):
@@ -306,50 +287,55 @@ class SchedulingService:
 
     def _total_backlog(self) -> float:
         """Unfinished processing volume across all queues."""
-        if self._instance is None:
+        if self._runtime is None:
             return 0.0
         state = self._runtime.state
         total = 0.0
-        for i, queue in enumerate(self._instance.queues):
+        for i, queue in enumerate(self._runtime.instance.queues):
             done = int(state.done[i])
             if done < len(queue):
                 total += float(state.remaining[i])
                 total += sum(float(job.work) for job in queue[done + 1 :])
         return total
 
-    def _placement(self) -> int:
+    def _placement(self, backlogs: list[float]) -> int:
         """The queue the next arrival would be appended to."""
-        if self._instance is None:
-            return 0
-        if self._instance.num_processors < self.max_queues:
-            return self._instance.num_processors
-        backlogs = self._queue_backlogs()
+        if len(backlogs) < self.max_queues:
+            return len(backlogs)
         return min(range(len(backlogs)), key=lambda i: (backlogs[i], i))
 
     def _extend(self, job: Job, queue_index: int, at: int) -> None:
-        """Grow the instance by *job* and carry the run state over."""
-        if self._instance is None:
-            self._instance = Instance([[job]], releases=[at])
-            ckpt = checkpoint_run(self._new_runtime(self._instance))
+        """Grow the live run by *job* on *queue_index* at step *at*."""
+        if self._runtime is None:
+            # The first arrival starts the run from a checkpoint of a
+            # fresh runtime, fast-forwarded to the arrival step.
+            instance = Instance([[job]], releases=[at])
+            ckpt = checkpoint_run(self._new_runtime(instance))
             self._runtime = restore_runtime(ckpt.at_step(at))
+            self._resource_work = list(job.work_vector)
+            self._max_release = at
             return
-        queues = [list(queue) for queue in self._instance.queues]
-        releases = list(self._instance.releases)
-        if queue_index == len(queues):
-            queues.append([job])
-            releases.append(at)
+        if queue_index == self._runtime.instance.num_processors:
+            self._runtime.extend(job, queue_index, at)
+            self._max_release = max(self._max_release, at)
         else:
-            queues[queue_index].append(job)
-        grown = Instance(queues, releases=releases)
-        ckpt = checkpoint_run(self._runtime)
-        self._runtime = restore_runtime(ckpt, instance=grown)
-        self._instance = grown
+            self._runtime.extend(job, queue_index)
+        self._resource_work = [
+            total + work
+            for total, work in zip(self._resource_work, job.work_vector)
+        ]
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def submit(self, event: ArrivalEvent) -> bool:
         """Process one arrival; returns the admission decision.
+
+        Under an installed telemetry session the arrival also records
+        per-phase latency histograms (``service.phase.advance`` /
+        ``place`` / ``admit``, and ``extend`` for admitted jobs) and
+        the ``service.live_jobs`` / ``service.backlog`` gauges (the
+        unfinished work the admission policy saw).
 
         Raises:
             ServiceError: after :meth:`drain` (the engine is closed),
@@ -363,10 +349,13 @@ class SchedulingService:
                 f"event at step {event.time} arrived after the clock "
                 f"reached {self._clock}; arrivals must be in order"
             )
+        session = get_session()
         started = time.perf_counter()
         self._advance(event.time)
-        queue_index = self._placement()
+        if session is not None:
+            advanced = time.perf_counter()
         backlogs = self._queue_backlogs()
+        queue_index = self._placement(backlogs)
         ctx = AdmissionContext(
             time=event.time,
             job=event.job,
@@ -375,17 +364,20 @@ class SchedulingService:
                 backlogs[queue_index] if queue_index < len(backlogs) else 0.0
             ),
             total_backlog=self._total_backlog(),
-            num_processors=(
-                self._instance.num_processors if self._instance else 0
-            ),
+            num_processors=len(backlogs),
         )
+        if session is not None:
+            placed = time.perf_counter()
         decision = bool(self.admission.admit(ctx))
+        if session is not None:
+            decided = time.perf_counter()
         if decision:
             self._extend(event.job, queue_index, event.time)
-            self._history.append((event.job, queue_index, event.time))
             self.admitted += 1
         else:
             self.rejected += 1
+        if session is not None:
+            extended = time.perf_counter()
         self.submitted += 1
         self._records.append(
             {
@@ -400,15 +392,22 @@ class SchedulingService:
         self._seq += 1
         elapsed = time.perf_counter() - started
         self._latencies.append(elapsed)
-        session = get_session()
         if session is not None:
-            session.metrics.counter("service.arrivals").inc()
-            session.metrics.counter(
+            metrics = session.metrics
+            metrics.counter("service.arrivals").inc()
+            metrics.counter(
                 "service.admitted" if decision else "service.rejected"
             ).inc()
-            session.metrics.histogram("service.latency_seconds").observe(
-                elapsed
-            )
+            metrics.histogram("service.latency_seconds").observe(elapsed)
+            metrics.histogram("service.phase.advance").observe(advanced - started)
+            metrics.histogram("service.phase.place").observe(placed - advanced)
+            metrics.histogram("service.phase.admit").observe(decided - placed)
+            if decision:
+                metrics.histogram("service.phase.extend").observe(
+                    extended - decided
+                )
+            metrics.gauge("service.live_jobs").set(self.admitted - self.completed)
+            metrics.gauge("service.backlog").set(ctx.total_backlog)
         return decision
 
     def drain(self) -> int:
@@ -421,10 +420,8 @@ class SchedulingService:
         if self._closed:
             raise ServiceError("service is closed (drain() already ran)")
         makespan = 0
-        if self.mode == "from-scratch":
-            self._rebuild_from_history(self._clock)
-        if self._instance is not None:
-            limit = default_step_limit(self._instance) + self._clock + 16
+        if self._runtime is not None:
+            limit = default_step_limit(self._runtime.instance) + self._clock + 16
             finished = run_kernel(
                 self._runtime,
                 self._policy,
@@ -492,7 +489,6 @@ class SchedulingService:
                 "options": self.admission.options(),
             },
             "max_queues": self.max_queues,
-            "mode": self.mode,
         }
 
     @property
@@ -501,15 +497,20 @@ class SchedulingService:
         return list(self._records)
 
     def report(self) -> ServiceReport:
-        """Summarize the run (valid mid-stream or after drain)."""
+        """Summarize the run (valid mid-stream or after drain).
+
+        ``total_work`` is summed in processor-major order, which keeps
+        the float bit-identical to earlier releases; a running total in
+        arrival order would round differently.
+        """
         total_work = 0.0
-        if self._instance is not None:
+        queues = 0
+        if self._runtime is not None:
+            instance = self._runtime.instance
             total_work = sum(
-                float(job.work)
-                for queue in self._instance.queues
-                for job in queue
+                float(job.work) for queue in instance.queues for job in queue
             )
-        queues = self._instance.num_processors if self._instance else 0
+            queues = instance.num_processors
         elapsed = max(self._clock, 1)
         utilization = (
             total_work / (queues * elapsed) if queues else 0.0
@@ -528,7 +529,6 @@ class SchedulingService:
             policy=self.policy_name,
             backend=self.backend,
             admission=self.admission.describe(),
-            mode=self.mode,
             num_queues=queues,
             final_step=self._clock,
             submitted=self.submitted,
@@ -555,7 +555,9 @@ def replay_log(
     Rebuilds the service from the log's config, re-submits every
     arrival, re-derives every admission decision, and checks each one
     against the recorded decision -- a mismatch means the log and the
-    engine disagree and the replay is rejected.
+    engine disagree and the replay is rejected.  A ``"mode"`` key in
+    configs written by older versions is ignored: every mode they
+    offered produced the same schedule.
 
     Returns:
         ``(report, service)`` for the re-run.
@@ -573,7 +575,6 @@ def replay_log(
                 admission_doc["name"], **admission_doc.get("options", {})
             ),
             max_queues=config.get("max_queues", 8),
-            mode=config.get("mode", "incremental"),
         )
     except (KeyError, TypeError) as exc:
         raise ServiceError(f"malformed event-log config: {exc}") from exc

@@ -11,8 +11,8 @@ order.  Two sources ship:
   the soak tests and ``crsharing serve --rate/--count``.
 
 Both are re-iterable: each ``iter()`` yields the same events, so one
-stream object can drive an incremental run and its from-scratch
-baseline in the same benchmark.
+stream object can drive several service runs (a run and its replay,
+or repeated benchmark rounds).
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from repro.core import (
     CompletionRecorder,
     ExactRuntime,
     Instance,
+    Job,
     KernelCheckpoint,
     ObjectiveRecorder,
     ShareRecorder,
@@ -280,6 +281,47 @@ class TestExtension:
         rt2 = restore_runtime(ckpt, instance=big)
         makespan = run_kernel(rt2, policy)
         assert makespan is not None and makespan >= 2
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_in_place_extend_equals_restore(self, kind, k):
+        """``runtime.extend`` reaches the state a restore into the grown
+        instance builds: same captured state after every growth step,
+        same completions and share rows to the end."""
+
+        def job(r, size=1):
+            return Job([r] * k if k > 1 else r, size)
+
+        small = Instance([[job("1/2")], [job("1/4", 3), job("1/3")]])
+        policy = get_policy("greedy-balance")
+        live = _runtime(kind, small)
+        run_kernel(live, policy, stop=lambda r: r.t >= 2)  # queue 0 drained
+        reference = restore_runtime(checkpoint_run(live))
+        growth = [
+            (job("1/4"), 1, None),  # tail of a busy queue
+            (job("3/4", 2), 2, 2),  # a new queue, released now
+            (job("1/2"), 2, None),  # before that queue is released
+            (job("1"), 0, None),  # onto the drained queue
+            (job("0"), 2, None),
+            (job("1/3", "5/2"), 1, None),  # grows the padded tables
+            (job("1/4"), 3, 7),  # a new queue released later
+        ]
+        for new, processor, release in growth:
+            live.extend(new, processor, release)
+            reference = restore_runtime(
+                checkpoint_run(reference), instance=live.instance
+            )
+            assert live.capture() == reference.capture()
+            run_kernel(live, policy, stop=lambda r: r.t >= r.instance.total_jobs)
+            run_kernel(reference, policy, stop=lambda r: r.t >= live.t)
+        results = []
+        for rt in (live, reference):
+            obs = [CompletionRecorder(), ShareRecorder()]
+            run_kernel(rt, policy, obs)
+            results.append(
+                (obs[0].completion_steps, [list(map(str, row)) for row in obs[1].shares])
+            )
+        assert results[0] == results[1]
 
     def test_prefix_mutation_rejected(self):
         small = Instance.from_percent([[50, 30], [40, 60]])

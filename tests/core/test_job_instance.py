@@ -205,3 +205,41 @@ class TestObjectiveAnnotations:
         )
         suffix = inst.restrict_to_suffix([1])
         assert suffix.job(0, 0).deadline == 4
+
+
+class TestAppendJob:
+    def test_tail_append_equals_constructor(self):
+        inst = Instance([["1/2", "1/4"], ["1/3"]], releases=[0, 2])
+        grown = inst.append_job(Job("3/4", 2), 1)
+        assert grown == Instance(
+            [["1/2", "1/4"], [Job("1/3"), Job("3/4", 2)]], releases=[0, 2]
+        )
+        assert grown.queues[0] is inst.queues[0]
+        assert inst.num_jobs(1) == 1  # the original is untouched
+
+    def test_new_queue_carries_its_release(self):
+        inst = Instance([["1/2"]])
+        grown = inst.append_job("1/4", 1, release=5)
+        assert grown == Instance([["1/2"], ["1/4"]], releases=[0, 5])
+        assert grown.append_job("1/4", 2).releases == (0, 5, 0)
+
+    def test_multi_resource_job(self):
+        inst = Instance([[Job(["1/2", "1/4"])]])
+        grown = inst.append_job(Job(["1/3", "1"]), 0)
+        assert grown.num_resources == 2
+        assert grown.resource_work(1) == Fraction(5, 4)
+
+    @pytest.mark.parametrize(
+        "job, processor, release, match",
+        [
+            (Job(["1/2", "1/2"]), 0, None, "same number of shared resources"),
+            ("1/2", 3, None, "cannot append to processor 3"),
+            ("1/2", -1, None, "cannot append to processor -1"),
+            ("1/2", 0, 4, "release time cannot be set"),
+            ("1/2", 2, -1, "non-negative"),
+        ],
+    )
+    def test_rejects(self, job, processor, release, match):
+        inst = Instance([["1/2"], ["1/4"]])
+        with pytest.raises(InvalidInstanceError, match=match):
+            inst.append_job(job, processor, release=release)
