@@ -56,13 +56,6 @@ from ..exceptions import (
     SimulationLimitError,
     VectorizationUnsupportedError,
 )
-from ..kernels import (
-    decide,
-    normalize_compiled,
-    note_fallback,
-    replay_run,
-    run_fused_instance,
-)
 from .base import resolve_objectives
 
 __all__ = [
@@ -500,8 +493,6 @@ class BatchRunResult:
         compactions: how many times the runtime shrank the batch to
             its surviving lanes (ragged batches only; 0 when every
             lane finishes near the same step).
-        compiled: True when the run was served by the fused compiled
-            driver instead of the per-step array program.
     """
 
     makespans: np.ndarray
@@ -512,7 +503,6 @@ class BatchRunResult:
     wall_seconds: float
     batched_policy: bool
     compactions: int = 0
-    compiled: bool = False
 
 
 class BatchVectorRuntime:
@@ -529,13 +519,6 @@ class BatchVectorRuntime:
             ``shares_batch``.
         tol: completion / feasibility tolerance (as
             :class:`~repro.backends.vector.VectorBackend`).
-        compiled: compiled-tier mode (``"auto"``/``"on"``/``"off"`` or
-            a boolean).  ``"auto"`` sends eligible runs (built-in
-            policy, numba importable) through the fused driver and
-            falls back silently otherwise; ``"on"`` forces it (raising
-            :class:`~repro.exceptions.CompiledUnsupportedError` when
-            ineligible); ``"off"`` always uses the per-step array
-            program.
         compact_threshold: live-lane fraction below which a ragged
             batch compacts to its surviving lanes (``None`` or ``0``
             disables compaction).
@@ -547,7 +530,6 @@ class BatchVectorRuntime:
         policy,
         *,
         tol: float = 1e-9,
-        compiled: str | bool = "auto",
         compact_threshold: float | None = 0.5,
     ) -> None:
         from ..algorithms import resolve_policy  # local: avoid import cycle
@@ -567,7 +549,6 @@ class BatchVectorRuntime:
         self.state = BatchVectorState(instances)
         self.tol = float(tol)
         self.batched_policy = bool(getattr(policy, "supports_batch", False))
-        self.compiled = normalize_compiled(compiled)
         if compact_threshold is not None and not (
             0.0 <= float(compact_threshold) <= 1.0
         ):
@@ -746,16 +727,6 @@ class BatchVectorRuntime:
         from ..telemetry import get_session
 
         objectives = resolve_objectives(tuple(objectives))
-        if self.compiled != "off":
-            decision = decide(self.policy, self.compiled)
-            if decision.code is not None:
-                return self._run_compiled(
-                    decision.code,
-                    objectives=objectives,
-                    max_steps=max_steps,
-                    stall_limit=stall_limit,
-                )
-            note_fallback(decision.reason)
         state = self.state
         B = state.num_lanes
         if max_steps is None:
@@ -868,64 +839,6 @@ class BatchVectorRuntime:
             self._record_telemetry(session, result, start=t0)
         return result
 
-    def _run_compiled(
-        self,
-        policy_code: int,
-        *,
-        objectives,
-        max_steps: int | None,
-        stall_limit: int,
-    ) -> BatchRunResult:
-        """Serve the batch through the fused compiled driver, lane by lane.
-
-        Each lane is one whole-run JIT region (no per-step Python at
-        all), then its completion table is replayed through the
-        objective recorders -- same numbers, same exceptions as the
-        per-step batched loop.
-        """
-        from ..core.kernel import ObjectiveRecorder  # lazy: no cycle
-        from ..telemetry import get_session
-
-        instances = self.state.instances
-        B = len(instances)
-        makespans = np.zeros(B, dtype=np.int64)
-        values: list[list] = [[None] * B for _ in objectives]
-        t0 = perf_counter()
-        for b, inst in enumerate(instances):
-            recorders = [ObjectiveRecorder(obj, inst) for obj in objectives]
-            makespan, completion = run_fused_instance(
-                inst,
-                policy_code,
-                tol=self.tol,
-                max_steps=max_steps,
-                stall_limit=stall_limit,
-                label=f"batched lane {b}",
-            )
-            replay_run(completion, makespan, recorders)
-            makespans[b] = makespan
-            for o, recorder in enumerate(recorders):
-                values[o][b] = recorder.value
-        wall = perf_counter() - t0
-        result = BatchRunResult(
-            makespans=makespans,
-            objective_values={
-                obj.name: values[o] for o, obj in enumerate(objectives)
-            },
-            lanes=B,
-            steps=int(makespans.max()) if B else 0,
-            lane_steps=int(makespans.sum()),
-            wall_seconds=wall,
-            batched_policy=self.batched_policy,
-            compactions=0,
-            compiled=True,
-        )
-        session = get_session()
-        if session is not None:
-            session.metrics.counter("compiled.runs").inc(B)
-            session.metrics.counter("compiled.steps").inc(result.lane_steps)
-            self._record_telemetry(session, result, start=t0)
-        return result
-
     def _record_telemetry(
         self, session, result: BatchRunResult, *, start: float
     ) -> None:
@@ -948,7 +861,6 @@ class BatchVectorRuntime:
             m=self.state.num_processors,
             resources=self.state.num_resources,
             batched_policy=result.batched_policy,
-            compiled=result.compiled,
         )
 
 
@@ -960,7 +872,6 @@ def run_batch(
     tol: float = 1e-9,
     max_steps: int | None = None,
     stall_limit: int = 3,
-    compiled: str | bool = "auto",
     compact_threshold: float | None = 0.5,
 ) -> BatchRunResult:
     """Run *policy* over a batch of instances in one shared array program.
@@ -983,7 +894,6 @@ def run_batch(
         instances,
         policy,
         tol=tol,
-        compiled=compiled,
         compact_threshold=compact_threshold,
     )
     return runtime.run(

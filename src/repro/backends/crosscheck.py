@@ -68,7 +68,6 @@ def cross_validate(
     sequencer=None,
     certify: bool = False,
     certify_max_nodes: int = 100_000,
-    compiled: str | bool | None = None,
 ) -> CrossCheckResult:
     """Run *policy* on *instance* through both backends and compare.
 
@@ -104,13 +103,6 @@ def cross_validate(
             lower bound for *this policy's* runs).  Unproved
             certificates (node budget) skip the assertion.
         certify_max_nodes: branch-and-bound node budget for *certify*.
-        compiled: compiled-tier mode for the *vector* run
-            (``"auto"``/``"on"``/``"off"`` or a boolean, see
-            :mod:`repro.kernels`); ``None`` keeps the backend default.
-            ``"on"`` pins the audit against the fused driver -- share
-            comparison is then disabled (the driver records
-            completions, not per-step rows), so the report's
-            ``max_share_deviation`` is ``None``.
 
     Raises:
         BackendError: when ``certify=True`` produced a proved
@@ -120,13 +112,6 @@ def cross_validate(
 
     policy = resolve_policy(policy)
     objectives = tuple(objectives)  # both backend runs consume it
-    if compiled is not None:
-        from ..kernels import normalize_compiled  # local: avoid import cycle
-
-        compiled = normalize_compiled(compiled)
-        if compiled == "on":
-            # The fused driver has no per-step share rows to compare.
-            compare_shares = False
     if sequencer is not None:
         from ..sequencing import resolve_sequencer  # local: builds on core
 
@@ -142,11 +127,7 @@ def cross_validate(
         instance, policy, record_shares=compare_shares, objectives=objectives
     )
     vector = VectorBackend(tol=tol).run(
-        instance,
-        policy,
-        record_shares=compare_shares,
-        objectives=objectives,
-        compiled=compiled,
+        instance, policy, record_shares=compare_shares, objectives=objectives
     )
     rel = (
         abs(vector.makespan - exact.makespan) / exact.makespan

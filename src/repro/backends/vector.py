@@ -46,14 +46,6 @@ from ..exceptions import (
     InfeasibleAssignmentError,
     VectorizationUnsupportedError,
 )
-from ..kernels import (
-    decide,
-    normalize_compiled,
-    note_fallback,
-    replay_run,
-    run_fused_instance,
-)
-from ..telemetry import get_session
 from .base import Backend, BackendResult, backend_run_span
 
 __all__ = ["VectorState", "VectorRuntime", "VectorBackend"]
@@ -616,28 +608,14 @@ class VectorBackend(Backend):
             them infeasible.  Must be far below the instance's
             requirement grid (the default ``1e-9`` is safe for grids
             down to ``1e-6``).
-        compiled: default dispatch mode for the compiled tier
-            (:mod:`repro.kernels`): ``"auto"`` (the default) routes
-            eligible runs -- built-in water-filling policy, no share
-            recording, numba installed -- through the JIT-fused
-            whole-run driver and falls back per-step otherwise (the
-            fallback reason lands in the ``compiled.fallbacks``
-            telemetry counter); ``"on"`` forces the fused driver (even
-            interpreted, without numba) and raises
-            :class:`~repro.exceptions.CompiledUnsupportedError` for
-            ineligible runs; ``"off"`` never compiles.  ``run`` can
-            override per call.
     """
 
     name = "vector"
 
-    def __init__(
-        self, *, tol: float = 1e-9, compiled: str | bool = "auto"
-    ) -> None:
+    def __init__(self, *, tol: float = 1e-9) -> None:
         if tol <= 0:
             raise ValueError("tol must be positive")
         self.tol = float(tol)
-        self.compiled = normalize_compiled(compiled)
 
     def make_runtime(self, instance: Instance, policy) -> VectorRuntime:
         """The kernel runtime this backend contributes.
@@ -665,31 +643,13 @@ class VectorBackend(Backend):
         record_shares: bool = True,
         stall_limit: int = 3,
         objectives=(),
-        compiled: str | bool | None = None,
     ) -> BackendResult:
         """Run *policy* on *instance* through the float64 kernel.
 
         *policy* may be a registry name; see
-        :func:`repro.algorithms.resolve_policy`.  *compiled* overrides
-        the backend's dispatch mode for this run (``None`` keeps it);
-        eligible runs execute inside the JIT-fused whole-run driver
-        and return no share rows (``shares is None``, as with
-        ``record_shares=False``).
+        :func:`repro.algorithms.resolve_policy`.
         """
         policy = self._resolve_policy(policy)
-        mode = normalize_compiled(compiled, default=self.compiled)
-        if mode != "off":
-            decision = decide(policy, mode, record_shares=record_shares)
-            if decision.code is not None:
-                return self._run_compiled(
-                    instance,
-                    policy,
-                    decision.code,
-                    max_steps=max_steps,
-                    stall_limit=stall_limit,
-                    objectives=objectives,
-                )
-            note_fallback(decision.reason)
         runtime = self.make_runtime(instance, policy)
         completions = CompletionRecorder()
         recorders = self._objective_observers(instance, objectives)
@@ -716,47 +676,6 @@ class VectorBackend(Backend):
                 np.array(recorder.processed) if recorder is not None else None
             ),
             completion_steps=completions.completion_steps,
-            instance=instance,
-            objective_values=self._objective_values(recorders),
-        )
-
-    def _run_compiled(
-        self,
-        instance: Instance,
-        policy,
-        policy_code: int,
-        *,
-        max_steps: int | None,
-        stall_limit: int,
-        objectives,
-    ) -> BackendResult:
-        """Serve one run through the JIT-fused whole-run driver.
-
-        The driver returns the makespan and a completion-step table;
-        replaying that table through the objective recorders yields
-        exactly the values a per-step run produces (objectives depend
-        only on completion events and the makespan).
-        """
-        recorders = self._objective_observers(instance, objectives)
-        with backend_run_span(self.name, instance, policy) as span:
-            makespan, completion = run_fused_instance(
-                instance,
-                policy_code,
-                tol=self.tol,
-                max_steps=max_steps,
-                stall_limit=stall_limit,
-            )
-            completion_steps = replay_run(completion, makespan, recorders)
-            if span is not None:
-                span.note(makespan=makespan, compiled=True)
-        session = get_session()
-        if session is not None:
-            session.metrics.counter("compiled.runs").inc()
-            session.metrics.counter("compiled.steps").inc(makespan)
-        return BackendResult(
-            backend=self.name,
-            makespan=makespan,
-            completion_steps=completion_steps,
             instance=instance,
             objective_values=self._objective_values(recorders),
         )

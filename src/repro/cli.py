@@ -286,18 +286,6 @@ def _add_resource_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_compiled_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--compiled",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="fused compiled kernel tier on the vector paths: auto = "
-        "use it when numba and a built-in policy allow (the default, "
-        "falls back transparently), on = force it (error when the run "
-        "is ineligible), off = always the per-step NumPy engine",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crsharing",
@@ -346,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_objective_args(p_sched)
         _add_sequencer_args(p_sched)
         _add_telemetry_args(p_sched)
-        _add_compiled_arg(p_sched)
         p_sched.add_argument("--svg", type=Path, help="write a Gantt SVG")
         p_sched.add_argument("--json", type=Path, help="write the schedule as JSON")
 
@@ -381,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_objective_args(p_batch)
     _add_sequencer_args(p_batch)
     _add_telemetry_args(p_batch)
-    _add_compiled_arg(p_batch)
     p_batch.add_argument(
         "--arrival-rate",
         type=float,
@@ -428,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_objective_args(p_cross)
     _add_sequencer_args(p_cross)
     _add_telemetry_args(p_cross)
-    _add_compiled_arg(p_cross)
 
     p_certify = sub.add_parser(
         "certify",
@@ -697,17 +682,6 @@ def _cmd_list() -> int:
         "(omit = the paper's fixed-order model;\n"
         "      local-search takes --search-budget / --sequencer-seed)"
     )
-    from .kernels import NUMBA_AVAILABLE, numba_version
-
-    print()
-    if NUMBA_AVAILABLE:
-        status = f"numba {numba_version()} installed (auto uses it)"
-    else:
-        status = (
-            "numba not installed (auto falls back to the NumPy engine; "
-            "pip install '.[compiled]' to enable)"
-        )
-    print(f"compiled kernels (--compiled auto|on|off): {status}")
     return 0
 
 
@@ -828,16 +802,8 @@ def _cmd_schedule_backend(args: argparse.Namespace, instance, policy) -> int:
     from .objectives import get_objective
 
     objectives = () if args.objective == "makespan" else (args.objective,)
-    compiled = getattr(args, "compiled", "auto")
-    extra = {}
-    if args.backend == "vector":
-        extra["compiled"] = compiled
-        if compiled == "on":
-            # The fused driver records completions, not per-step share
-            # rows, so the tolerant share audit has nothing to read.
-            extra["record_shares"] = False
     result = run_policy(
-        instance, policy, backend=args.backend, objectives=objectives, **extra
+        instance, policy, backend=args.backend, objectives=objectives
     )
     print(render_instance(instance))
     print()
@@ -851,24 +817,16 @@ def _cmd_schedule_backend(args: argparse.Namespace, instance, policy) -> int:
             f"lower_bound={float(bound):g} "
             f"ratio={objective.ratio(value, bound):g}"
         )
-    if result.shares is None:
-        print(
-            "share audit: skipped (compiled run records completions, "
-            "not per-step shares; re-run with --compiled off to audit)"
-        )
-        ok = True
-    else:
-        report = verify_share_rows(instance, result.shares)
-        print(f"feasible (tolerance 1e-9): {report.ok}")
-        for problem in report.problems:
-            print(f"  problem: {problem}")
-        ok = report.ok
+    report = verify_share_rows(instance, result.shares)
+    print(f"feasible (tolerance 1e-9): {report.ok}")
+    for problem in report.problems:
+        print(f"  problem: {problem}")
     if args.svg or args.json:
         print(
             "note: --svg/--json need the exact schedule artifact; "
             "re-run with --backend exact"
         )
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -901,7 +859,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         sequencer=args.sequencer,
         sequencer_options=_sequencer_options(args),
         execution=args.execution,
-        compiled=args.compiled,
     )
     if args.store is not None:
         import time as _time
@@ -934,8 +891,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         f"campaign: {args.count} x {args.family}(m={args.m}, n={args.n}, "
         f"grid={args.grid}) seed={args.seed} arrivals={arrivals} "
         f"resources={args.resources} objective={args.objective} "
-        f"sequencer={args.sequencer or 'fixed (as built)'} "
-        f"compiled={args.compiled}"
+        f"sequencer={args.sequencer or 'fixed (as built)'}"
     )
     for key in (
         "policy",
@@ -1015,7 +971,6 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
             sequencer=sequencer,
             certify=args.certify,
             certify_max_nodes=args.certify_max_nodes,
-            compiled=args.compiled,
         )
         if check.certificate is not None and check.certificate.proved:
             certified += 1
@@ -1040,15 +995,10 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
         f"crosscheck: {args.count} instances, policy={args.policy}, "
         f"m={args.m}, n={args.n}, arrivals={args.arrivals}, "
         f"resources={args.resources}, objective={args.objective}, "
-        f"sequencer={args.sequencer or 'fixed (as built)'}, "
-        f"compiled={args.compiled}"
+        f"sequencer={args.sequencer or 'fixed (as built)'}"
     )
     print(f"  max relative makespan error: {worst_rel:.3g} (rtol {args.rtol:.3g})")
-    if args.compiled == "on":
-        print("  max per-step share deviation: n/a (compiled runs record "
-              "completions, not shares)")
-    else:
-        print(f"  max per-step share deviation: {worst_dev:.3g}")
+    print(f"  max per-step share deviation: {worst_dev:.3g}")
     if objectives:
         print(f"  max relative objective error: {worst_obj:.3g}")
     if args.certify:
@@ -1163,7 +1113,6 @@ def _cmd_bench_report(args: argparse.Namespace) -> int:
             last = bench_rows[-1]
             for key in (
                 "speedup",
-                "compiled_steps_per_s",
                 "overhead_pct",
                 "overhead_disabled_pct",
                 "overhead_enabled_pct",

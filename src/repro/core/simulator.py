@@ -68,7 +68,6 @@ def run_policy(
     *,
     backend: str = "exact",
     sequencer: "Sequencer | str | None" = None,
-    compiled: str | bool | None = None,
     **kwargs,
 ) -> "BackendResult":
     """Run *policy* through a named simulation backend.
@@ -77,14 +76,6 @@ def run_policy(
     flag: ``backend="exact"`` wraps :func:`simulate` (the result
     carries the validated :class:`Schedule`), ``backend="vector"``
     runs the NumPy float64 engine.  See :mod:`repro.backends`.
-
-    *compiled* selects the fused compiled tier on the vector backend
-    (``"auto"``/``"on"``/``"off"`` or a boolean, see
-    :mod:`repro.kernels`); ``None`` leaves the backend's own default
-    (``"auto"``) in charge.  ``compiled="on"`` on a non-vector backend
-    raises :class:`~repro.exceptions.BackendError` -- only the vector
-    engine has a compiled path; ``"auto"``/``"off"`` are silently
-    meaningless there.
 
     *policy* may be a policy object or a registry name
     (``run_policy(inst, "round-robin")``); names resolve through
@@ -104,17 +95,6 @@ def run_policy(
     from ..algorithms import resolve_policy  # local: algorithms build on core
     from ..backends import get_backend  # local: backends build on this module
 
-    if compiled is not None:
-        from ..exceptions import BackendError  # local: keep imports lean
-        from ..kernels import normalize_compiled
-
-        mode = normalize_compiled(compiled)
-        if backend == "vector":
-            kwargs["compiled"] = mode
-        elif mode == "on":
-            raise BackendError(
-                f"compiled='on' requires backend='vector', got {backend!r}"
-            )
     policy = resolve_policy(policy)
     if sequencer is not None:
         from ..sequencing import resolve_sequencer  # local: builds on core

@@ -19,7 +19,6 @@ __all__ = [
     "SolverError",
     "BackendError",
     "VectorizationUnsupportedError",
-    "CompiledUnsupportedError",
     "UnknownPolicyError",
     "SequencingError",
     "CheckpointError",
@@ -89,15 +88,6 @@ class VectorizationUnsupportedError(BackendError):
     to :class:`~repro.backends.VectorBackend`.  Implement
     :meth:`repro.algorithms.base.Policy.shares_array` or run the policy
     on the exact backend."""
-
-
-class CompiledUnsupportedError(BackendError):
-    """``compiled="on"`` was forced for a run the compiled tier cannot
-    serve: the policy has no fused-driver code path (only the built-in
-    water-filling policies do -- see
-    :func:`repro.kernels.dispatch.compiled_policy_code`), or the run
-    needs per-step Python callbacks (``record_shares=True``).  Use
-    ``compiled="auto"`` to fall back transparently instead."""
 
 
 class SequencingError(ReproError):

@@ -1,4 +1,4 @@
-"""Lane compaction and compiled-mode plumbing of the batched engine.
+"""Lane compaction in the batched engine.
 
 Compaction is a pure bookkeeping optimization: once the live fraction
 of a ragged batch drops below the threshold the state shrinks to the
@@ -6,8 +6,7 @@ surviving lanes, and every result (makespans, objective values, error
 attribution) must be reported against *original* lane indices exactly
 as an uncompacted run reports them.  These tests pin that equivalence,
 the ``compactions``/``batch.compactions`` accounting, and the
-``compiled``/``compact_threshold`` parameter plumbing through
-``run_batch`` and ``BatchRunner``.
+``compact_threshold`` parameter of ``run_batch``.
 """
 
 import numpy as np
@@ -15,9 +14,8 @@ import pytest
 
 from repro.algorithms import get_policy
 from repro.algorithms.base import _fill_arrays_batch_multi, _fill_arrays_multi
-from repro.backends import BatchRunner, run_batch
+from repro.backends import run_batch
 from repro.backends.batched import BatchVectorRuntime
-from repro.exceptions import BackendError
 from repro.generators import (
     multi_resource_instance,
     uniform_instance,
@@ -48,14 +46,12 @@ class TestCompactionEquivalence:
             insts,
             policy_name,
             objectives=OBJECTIVES,
-            compiled="off",
             compact_threshold=None,
         )
         compacted = run_batch(
             insts,
             policy_name,
             objectives=OBJECTIVES,
-            compiled="off",
             compact_threshold=0.5,
         )
         assert compacted.compactions > 0  # the ragged shape triggers it
@@ -70,27 +66,21 @@ class TestCompactionEquivalence:
         insts = [
             multi_resource_instance(3, 1, 2, seed=seed + j) for j in range(6)
         ] + [multi_resource_instance(3, 7, 3, seed=seed + 50)]
-        base = run_batch(
-            insts, "greedy-balance", compiled="off", compact_threshold=None
-        )
-        compacted = run_batch(
-            insts, "greedy-balance", compiled="off", compact_threshold=0.5
-        )
+        base = run_batch(insts, "greedy-balance", compact_threshold=None)
+        compacted = run_batch(insts, "greedy-balance", compact_threshold=0.5)
         assert compacted.compactions > 0
         assert np.array_equal(base.makespans, compacted.makespans)
 
     def test_uniform_batch_never_compacts(self):
         """Lanes finishing together leave nothing to compact."""
         insts = [uniform_instance(3, 3, seed=7)] * 6
-        result = run_batch(insts, "greedy-balance", compiled="off")
+        result = run_batch(insts, "greedy-balance")
         assert result.compactions == 0
 
     def test_small_batches_never_compact(self):
         """Below 4 lanes the bookkeeping outweighs the saving."""
         insts = _ragged_batch(0)[:3]
-        result = run_batch(
-            insts, "greedy-balance", compiled="off", compact_threshold=0.9
-        )
+        result = run_batch(insts, "greedy-balance", compact_threshold=0.9)
         assert result.compactions == 0
 
     def test_threshold_validation(self):
@@ -108,7 +98,6 @@ class TestCompactionEquivalence:
             result = run_batch(
                 _ragged_batch(3),
                 "greedy-balance",
-                compiled="off",
                 compact_threshold=0.5,
             )
         counters = {
@@ -145,61 +134,3 @@ class TestBatchedMultiFillBitIdentity:
                 masked, rstar[b], req_matrix[b], order[b], 1.0
             )
             assert np.array_equal(got[b], want), b
-
-
-class TestBatchRunnerCompiled:
-    def test_compiled_threads_through_batched_execution(self):
-        insts = [uniform_instance(2, 2, seed=s) for s in range(4)]
-        on = BatchRunner(
-            backend="vector", workers=1, execution="batched", compiled="on"
-        ).run(insts)
-        off = BatchRunner(
-            backend="vector", workers=1, execution="batched", compiled="off"
-        ).run(insts)
-        assert on.makespans == off.makespans
-
-    def test_compiled_threads_through_process_execution(self):
-        insts = [uniform_instance(2, 2, seed=s) for s in range(3)]
-        on = BatchRunner(backend="vector", workers=1, compiled="on").run(insts)
-        off = BatchRunner(backend="vector", workers=1, compiled="off").run(insts)
-        assert on.makespans == off.makespans
-
-    def test_compiled_on_requires_vector_backend(self):
-        with pytest.raises(BackendError):
-            BatchRunner(backend="exact", compiled="on")
-
-    def test_exact_backend_ignores_auto(self):
-        insts = [uniform_instance(2, 2, seed=1)]
-        result = BatchRunner(
-            backend="exact", workers=1, compiled="auto"
-        ).run(insts)
-        assert len(result.rows) == 1
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(compiled="sometimes")
-
-
-class TestLocalSearchCompiled:
-    def test_sequencer_compiled_modes_agree(self):
-        from repro.sequencing import get_sequencer
-
-        inst = uniform_instance(3, 4, seed=3)
-        results = []
-        for mode in ("off", "on"):
-            seq = get_sequencer(
-                "local-search", budget=30, seed=0, compiled=mode
-            )
-            results.append(seq.sequence(inst))
-            assert seq.last_stats["evaluations"] > 0
-        assert results[0] == results[1]  # same search trajectory
-
-    def test_batched_evaluation_with_compiled(self):
-        from repro.sequencing import get_sequencer
-
-        inst = uniform_instance(3, 4, seed=4)
-        seq = get_sequencer(
-            "local-search", budget=24, seed=1, batch_lanes=8, compiled="on"
-        )
-        better = seq.sequence(inst)
-        assert inst.same_bag(better)

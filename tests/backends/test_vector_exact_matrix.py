@@ -1,15 +1,18 @@
-"""Seeded crosscheck matrix for the fused compiled driver.
+"""Seeded exact-vs-vector matrix over every policy and instance axis.
 
-The acceptance bar for the compiled tier: a ``compiled="on"`` vector
-run must agree with the exact Fraction backend (integer makespans, so
-equality) and with the per-step ``compiled="off"`` vector run within
-1e-9 on every objective -- across every built-in policy,
-``k in {1, 2, 3}``, the arrival axis, weighted and deadline-carrying
-jobs, and ragged batched runs.  Well over 100 seeded cases run here;
-each case audits one (policy, instance) pair through all three
-engines.
+Each case runs one (policy, instance) pair through the exact Fraction
+backend and through the vector backend twice -- without and with
+per-step share recording -- and asserts that the three runs agree:
+integer makespans and per-job completion steps are equal, every
+objective value matches within 1e-9, and recording share rows changes
+nothing.  The matrix spans every built-in policy, ``k in {1, 2, 3}``,
+the arrival axis, weighted and deadline-carrying jobs, and ragged
+batched runs; the run-level entry points (``run_policy``,
+``cross_validate``) and the step budget are checked on the same
+instances.
 """
 
+import numpy as np
 import pytest
 
 from repro.algorithms import available_policies, get_policy
@@ -30,37 +33,32 @@ RTOL = 1e-9
 OBJECTIVES = ("makespan", "weighted-flow", "tardiness")
 
 
-def assert_compiled_matches(instance, policy, *, objectives=OBJECTIVES):
-    """One instance through exact, per-step vector, and fused driver."""
+def assert_vector_matches(instance, policy, *, objectives=OBJECTIVES):
+    """One instance through exact and both vector recording modes."""
     exact = ExactBackend().run(
         instance, policy, record_shares=False, objectives=objectives
     )
     backend = VectorBackend()
-    off = backend.run(
-        instance,
-        policy,
-        record_shares=False,
-        objectives=objectives,
-        compiled="off",
+    bare = backend.run(
+        instance, policy, record_shares=False, objectives=objectives
     )
-    on = backend.run(
-        instance,
-        policy,
-        record_shares=False,
-        objectives=objectives,
-        compiled="on",
+    recorded = backend.run(
+        instance, policy, record_shares=True, objectives=objectives
     )
-    assert on.makespan == off.makespan == exact.makespan, policy.name
-    assert on.completion_steps == off.completion_steps, policy.name
+    assert bare.makespan == recorded.makespan == exact.makespan, policy.name
+    assert bare.completion_steps == exact.completion_steps, policy.name
+    assert recorded.completion_steps == bare.completion_steps, policy.name
+    assert bare.shares is None
+    rows = np.asarray(recorded.shares)
+    assert rows.shape[0] == recorded.makespan
+    assert rows.shape[-1] == instance.num_processors
     for name in objectives:
-        got = on.objective_values[name]
-        assert got == pytest.approx(
-            off.objective_values[name], rel=RTOL, abs=RTOL
-        ), (policy.name, name)
+        got = bare.objective_values[name]
+        assert recorded.objective_values[name] == got, (policy.name, name)
         assert float(got) == pytest.approx(
             float(exact.objective_values[name]), rel=RTOL, abs=RTOL
         ), (policy.name, name)
-    return on
+    return bare
 
 
 class TestAllPoliciesSingleResource:
@@ -70,17 +68,17 @@ class TestAllPoliciesSingleResource:
     @pytest.mark.parametrize("seed", range(6))
     def test_uniform(self, policy_name, seed):
         inst = uniform_instance(2 + seed % 4, 2 + seed % 5, seed=31 * seed)
-        assert_compiled_matches(inst, get_policy(policy_name))
+        assert_vector_matches(inst, get_policy(policy_name))
 
     @pytest.mark.parametrize("policy_name", sorted(available_policies()))
     @pytest.mark.parametrize("seed", range(3))
     def test_general_sizes(self, policy_name, seed):
         inst = general_size_instance(3, 4, seed=47 * seed + 1)
-        assert_compiled_matches(inst, get_policy(policy_name))
+        assert_vector_matches(inst, get_policy(policy_name))
 
 
 class TestAxes:
-    """Arrival, weight, and deadline axes through the fused driver."""
+    """Arrival, weight, and deadline axes."""
 
     @pytest.mark.parametrize(
         "policy_name", ["greedy-balance", "round-robin", "proportional-share"]
@@ -90,13 +88,13 @@ class TestAxes:
         inst = with_arrivals(
             uniform_instance(3, 4, seed=seed), max_release=6, seed=900 + seed
         )
-        assert_compiled_matches(inst, get_policy(policy_name))
+        assert_vector_matches(inst, get_policy(policy_name))
 
     @pytest.mark.parametrize("policy_name", ["weighted-srpt", "greedy-balance"])
     @pytest.mark.parametrize("seed", range(5))
     def test_weights(self, policy_name, seed):
         inst = with_weights(bag_instance(3, 4, seed=seed), seed=40 + seed)
-        assert_compiled_matches(inst, get_policy(policy_name))
+        assert_vector_matches(inst, get_policy(policy_name))
 
     @pytest.mark.parametrize("profile", ["loose", "tight"])
     @pytest.mark.parametrize("seed", range(4))
@@ -104,7 +102,7 @@ class TestAxes:
         inst = with_deadlines(
             uniform_instance(3, 4, seed=seed), profile=profile, seed=70 + seed
         )
-        assert_compiled_matches(
+        assert_vector_matches(
             inst,
             get_policy("edf-waterfill"),
             objectives=("makespan", "tardiness", "deadline-misses"),
@@ -118,11 +116,11 @@ class TestAxes:
             ),
             seed=seed,
         )
-        assert_compiled_matches(inst, get_policy("weighted-srpt"))
+        assert_vector_matches(inst, get_policy("weighted-srpt"))
 
 
 class TestMultiResource:
-    """k in {2, 3} instances through the multi-resource fill kernel."""
+    """k in {2, 3} instances through the multi-resource fill."""
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize(
@@ -131,7 +129,7 @@ class TestMultiResource:
     @pytest.mark.parametrize("seed", range(3))
     def test_multires(self, k, profile, seed):
         inst = multi_resource_instance(3, 4, k, profile=profile, seed=seed)
-        assert_compiled_matches(inst, get_policy("greedy-balance"))
+        assert_vector_matches(inst, get_policy("greedy-balance"))
 
     @pytest.mark.parametrize(
         "policy_name",
@@ -142,7 +140,7 @@ class TestMultiResource:
         inst = with_resources(
             uniform_instance(3, 4, seed=seed), 2, seed=seed + 5
         )
-        assert_compiled_matches(inst, get_policy(policy_name))
+        assert_vector_matches(inst, get_policy(policy_name))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_multires_arrivals(self, seed):
@@ -154,11 +152,11 @@ class TestMultiResource:
             profile="correlated",
             seed=seed,
         )
-        assert_compiled_matches(inst, get_policy("greedy-balance"))
+        assert_vector_matches(inst, get_policy("greedy-balance"))
 
 
-class TestBatchedCompiled:
-    """Batched compiled runs, including ragged batches and B=1."""
+class TestBatched:
+    """Ragged batched runs against per-instance vector runs, and B=1."""
 
     @pytest.mark.parametrize("policy_name", ["greedy-balance", "edf-waterfill"])
     @pytest.mark.parametrize("seed", range(3))
@@ -171,93 +169,83 @@ class TestBatchedCompiled:
                 uniform_instance(3, 3, seed=seed + 2), max_release=5, seed=seed
             ),
         ]
-        off = run_batch(insts, policy_name, objectives=OBJECTIVES, compiled="off")
-        on = run_batch(insts, policy_name, objectives=OBJECTIVES, compiled="on")
-        assert on.compiled and not off.compiled
-        assert (on.makespans == off.makespans).all()
-        for name in OBJECTIVES:
-            assert on.objective_values[name] == pytest.approx(
-                off.objective_values[name], rel=RTOL, abs=RTOL
+        batch = run_batch(insts, policy_name, objectives=OBJECTIVES)
+        backend = VectorBackend()
+        singles = [
+            backend.run(
+                inst, policy_name, record_shares=False, objectives=OBJECTIVES
             )
-        assert on.steps == int(on.makespans.max())
-        assert on.lane_steps == int(on.makespans.sum())
+            for inst in insts
+        ]
+        assert batch.makespans.tolist() == [r.makespan for r in singles]
+        for name in OBJECTIVES:
+            assert batch.objective_values[name] == pytest.approx(
+                [float(r.objective_values[name]) for r in singles],
+                rel=RTOL,
+                abs=RTOL,
+            )
+        assert batch.steps == int(batch.makespans.max())
+        assert batch.lane_steps == int(batch.makespans.sum())
 
     def test_single_lane_batch(self):
         inst = uniform_instance(3, 4, seed=123)
-        on = run_batch([inst], "greedy-balance", compiled="on")
-        ref = VectorBackend().run(inst, "greedy-balance", compiled="off")
-        assert on.lanes == 1 and int(on.makespans[0]) == ref.makespan
+        batch = run_batch([inst], "greedy-balance")
+        ref = VectorBackend().run(inst, "greedy-balance")
+        assert batch.lanes == 1 and int(batch.makespans[0]) == ref.makespan
 
 
 class TestRunPolicyEntry:
-    """The run_policy entry point honors the compiled argument."""
+    """The run-level entry points agree across backends."""
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_run_policy_on_off_agree(self, seed):
+    def test_run_policy_backends_agree(self, seed):
         from repro.core.simulator import run_policy
 
         inst = uniform_instance(3, 4, seed=seed)
-        on = run_policy(
-            inst,
-            "greedy-balance",
-            backend="vector",
-            compiled="on",
-            record_shares=False,
+        vector = run_policy(
+            inst, "greedy-balance", backend="vector", record_shares=False
         )
-        off = run_policy(inst, "greedy-balance", backend="vector", compiled="off")
-        assert on.makespan == off.makespan
-        assert on.shares is None  # the fused driver records completions
+        exact = run_policy(inst, "greedy-balance", backend="exact")
+        assert vector.makespan == exact.makespan
+        assert vector.shares is None
 
-    def test_compiled_on_rejects_exact_backend(self):
-        from repro.core.simulator import run_policy
-        from repro.exceptions import BackendError
-
-        inst = uniform_instance(2, 2, seed=0)
-        with pytest.raises(BackendError):
-            run_policy(inst, "greedy-balance", backend="exact", compiled="on")
-
-    def test_cross_validate_compiled(self):
+    def test_cross_validate_compares_shares(self):
         from repro.backends import cross_validate
 
         inst = uniform_instance(3, 4, seed=5)
-        check = cross_validate(inst, "greedy-balance", compiled="on")
+        check = cross_validate(inst, "greedy-balance")
         assert check.ok
-        assert check.max_share_deviation is None  # shares not compared
+        assert check.max_share_deviation is not None
+        assert check.max_share_deviation <= 1e-9
 
 
-class TestDriverLimits:
-    """The fused driver mirrors the interpreted kernel's aborts."""
+class TestStepLimits:
+    """The vector backend aborts at exactly the exact backend's budget."""
 
     def test_step_limit(self):
         from repro.exceptions import SimulationLimitError
 
         inst = uniform_instance(3, 6, seed=0)
-        with pytest.raises(SimulationLimitError, match="compiled"):
+        with pytest.raises(SimulationLimitError):
             VectorBackend().run(
-                inst,
-                "greedy-balance",
-                compiled="on",
-                record_shares=False,
-                max_steps=1,
+                inst, "greedy-balance", record_shares=False, max_steps=1
             )
 
-    def test_limit_matches_interpreted(self):
-        """Both engines abort (or not) at exactly the same budget."""
+    def test_limit_matches_exact(self):
+        """Both backends abort (or not) at exactly the same budget."""
         from repro.exceptions import SimulationLimitError
 
         inst = uniform_instance(3, 4, seed=9)
-        backend = VectorBackend()
-        need = backend.run(
-            inst, "greedy-balance", compiled="off", record_shares=False
+        need = ExactBackend().run(
+            inst, "greedy-balance", record_shares=False
         ).makespan
         for budget in (need - 1, need):
             outcomes = []
-            for mode in ("off", "on"):
+            for backend in (ExactBackend(), VectorBackend()):
                 try:
                     backend.run(
                         inst,
                         "greedy-balance",
-                        compiled=mode,
                         record_shares=False,
                         max_steps=budget,
                     )
@@ -265,6 +253,7 @@ class TestDriverLimits:
                 except SimulationLimitError:
                     outcomes.append("limit")
             assert outcomes[0] == outcomes[1], budget
+        assert outcomes == ["ok", "ok"]
 
 
 def test_case_count_floor():

@@ -8,8 +8,12 @@ kernel-based ``simulate``/backends and assert:
 
 * the exact path is bit-identical (SHA-256 of the Fraction share
   rows and the makespan), and
-* the vector path lands within 1e-9 relative makespan error (for
-  integer makespans that means exact equality).
+* the vector path reproduces the golden (integer) makespan exactly,
+  with and without per-step share recording -- recording share rows
+  must not change the schedule,
+* the vector path's recorded share rows match the exact Fraction rows
+  within 1e-9, and
+* the batched engine reproduces the golden makespan exactly.
 
 If a change legitimately alters model semantics, regenerate via
 ``PYTHONPATH=src python tests/data/make_golden.py`` and justify it in
@@ -18,10 +22,11 @@ the commit message -- these tests exist to make silent drift loud.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.algorithms import get_policy
-from repro.backends import VectorBackend
+from repro.backends import ExactBackend, VectorBackend, run_batch
 
 from ..data.make_golden import CASES, GOLDEN_PATH, share_digest
 
@@ -41,18 +46,48 @@ def test_exact_path_bit_identical(entry):
     assert share_digest(schedule) == entry["share_sha256"]
 
 
+@pytest.mark.parametrize("record_shares", [False, True])
 @pytest.mark.parametrize(
     "entry",
     GOLDEN["entries"],
     ids=lambda e: f"{e['case']}-{e['policy']}",
 )
-def test_vector_path_within_tolerance(entry):
+def test_vector_path_within_tolerance(entry, record_shares):
     instance = _BUILDERS[entry["case"]]()
     result = VectorBackend().run(
-        instance, get_policy(entry["policy"]), record_shares=False
+        instance, get_policy(entry["policy"]), record_shares=record_shares
     )
-    golden = entry["vector_makespan"]
-    assert abs(result.makespan - golden) <= 1e-9 * golden
+    assert result.makespan == entry["vector_makespan"]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    GOLDEN["entries"],
+    ids=lambda e: f"{e['case']}-{e['policy']}",
+)
+def test_vector_share_rows_match_exact(entry):
+    instance = _BUILDERS[entry["case"]]()
+    policy = get_policy(entry["policy"])
+    exact = ExactBackend().run(instance, policy, record_shares=True)
+    vector = VectorBackend().run(instance, policy, record_shares=True)
+    want = np.array([[float(x) for x in row] for row in exact.shares])
+    got = np.asarray(vector.shares)
+    assert got.shape == want.shape == (
+        entry["exact_makespan"],
+        instance.num_processors,
+    )
+    assert np.abs(got - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "entry",
+    GOLDEN["entries"],
+    ids=lambda e: f"{e['case']}-{e['policy']}",
+)
+def test_batched_path_reproduces_golden_makespan(entry):
+    instance = _BUILDERS[entry["case"]]()
+    batch = run_batch([instance], entry["policy"])
+    assert batch.makespans.tolist() == [entry["vector_makespan"]]
 
 
 def test_explicit_zero_releases_bit_identical():

@@ -1,9 +1,9 @@
 """Docstring coverage gate for the documented-API directories.
 
 CI runs ruff's pydocstyle (``D``) rules over ``src/repro/core``,
-``src/repro/backends``, ``src/repro/kernels``,
-``src/repro/objectives``, ``src/repro/sequencing``,
-``src/repro/service`` and ``src/repro/telemetry`` (see
+``src/repro/backends``, ``src/repro/objectives``,
+``src/repro/sequencing``, ``src/repro/service`` and
+``src/repro/telemetry`` (see
 ``[tool.ruff]`` in pyproject.toml); this AST-based check enforces the
 presence half of those rules inside the tier-1 suite as well, so a
 missing public docstring fails fast even where ruff is not installed.
@@ -19,7 +19,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 CHECKED_DIRS = (
     "core",
     "backends",
-    "kernels",
     "objectives",
     "sequencing",
     "service",

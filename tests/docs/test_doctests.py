@@ -34,8 +34,6 @@ DOCTEST_MODULES = [
     "repro.algorithms.flowdeadline",
     "repro.backends.base",
     "repro.backends.batched",
-    "repro.kernels",
-    "repro.kernels.dispatch",
     "repro.objectives.base",
     "repro.objectives.makespan",
     "repro.objectives.flow",

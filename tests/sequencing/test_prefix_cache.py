@@ -106,11 +106,6 @@ class TestActivation:
         with pytest.raises(SequencingError, match="batch_lanes"):
             seq.sequence(bag_instance(2, 2, seed=0))
 
-    def test_forcing_on_with_compiled_on_raises(self):
-        seq = LocalSearchSequencer(compiled="on", prefix_cache=True)
-        with pytest.raises(SequencingError, match="compiled"):
-            seq.sequence(bag_instance(2, 2, seed=0))
-
 
 class TestResumeBounds:
     def test_length_mismatch_disables_resume(self):
