@@ -29,6 +29,11 @@ weakens the worst-case bound on states explored.  We keep the larger
 space because domination pruning needs no extended-configuration
 bookkeeping there to remain sound; the per-round state counts are
 reported in :class:`OptGeneralResult.stats` and benchmarked (THM6).
+
+Like the m=2 DP, the search runs on the instance's integer grid
+(:meth:`Instance.to_integer_grid`): remaining requirements, moves and
+invested resource are units of ``1/D`` with step capacity ``D``, and
+``Fraction`` reappears only in the witness :class:`Schedule`.
 """
 
 from __future__ import annotations
@@ -36,17 +41,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from ..core.instance import Instance
-from ..core.numerics import ONE, ZERO, frac_sum
 from ..core.schedule import Schedule
 from ..exceptions import SolverError
+from .fastpath import grid_witness_makespan
 
 __all__ = ["OptGeneralResult", "opt_res_assignment_general"]
 
 #: A configuration key: (jobs completed per processor, remaining
-#: requirement of each active job -- ZERO for exhausted processors).
-_Key = tuple[tuple[int, ...], tuple[Fraction, ...]]
+#: requirement of each active job -- 0 for exhausted processors), in
+#: grid units.
+_Key = tuple[tuple[int, ...], tuple[int, ...]]
+#: A move ``(F, p, c)``: the processors whose jobs finish, the processor
+#: receiving the leftover ``c`` partially (or ``None``).
+_Move = tuple[tuple[int, ...], int | None, int]
+
+_MAX_CONFIGURATIONS = 2_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,65 +81,49 @@ class OptGeneralResult:
         return sum(self.stats)
 
 
-def _fresh_remaining(instance: Instance, done: tuple[int, ...]) -> tuple[Fraction, ...]:
-    return tuple(
-        instance.job(i, done[i]).work if done[i] < instance.num_jobs(i) else ZERO
-        for i in range(instance.num_processors)
-    )
+def _fresh(units: Sequence[list[int]], i: int, j: int) -> int:
+    """Requirement of job ``(i, j)``, 0 once processor *i* is exhausted."""
+    return units[i][j] if j < len(units[i]) else 0
 
 
-def _spent_vector(
-    instance: Instance, done: tuple[int, ...], rem: tuple[Fraction, ...]
-) -> tuple[Fraction, ...]:
+def _spent_vector(units: Sequence[list[int]], key: _Key) -> tuple[int, ...]:
     """The paper's ``v`` vector: resource already invested in each
     active job (0 for exhausted processors)."""
-    out = []
-    for i in range(instance.num_processors):
-        if done[i] < instance.num_jobs(i):
-            out.append(instance.job(i, done[i]).work - rem[i])
-        else:
-            out.append(ZERO)
-    return tuple(out)
+    done, rem = key
+    return tuple(_fresh(units, i, d) - r for i, (d, r) in enumerate(zip(done, rem)))
 
 
 def _successors(
-    instance: Instance, key: _Key
-) -> list[tuple[_Key, tuple[tuple[int, ...], int | None, Fraction]]]:
+    units: Sequence[list[int]], cap: int, key: _Key
+) -> list[tuple[_Key, _Move]]:
     """All non-wasting, progressive one-step successors of *key*.
 
-    Each successor comes with its move ``(F, p, c)``: the processors
-    whose jobs finish, the processor receiving the leftover ``c``
-    partially (or ``None``), used for schedule reconstruction.
+    Each successor comes with its move ``(F, p, c)``, used for schedule
+    reconstruction.
     """
     done, rem = key
-    m = instance.num_processors
-    active = [i for i in range(m) if done[i] < instance.num_jobs(i)]
+    active = [i for i in range(len(units)) if done[i] < len(units[i])]
     if not active:
         return []
 
-    def advance(finish: tuple[int, ...], partial: int | None, c: Fraction):
+    def advance(finish: tuple[int, ...], partial: int | None, c: int):
         new_done = list(done)
         new_rem = list(rem)
         for i in finish:
             new_done[i] += 1
-            new_rem[i] = (
-                instance.job(i, new_done[i]).work
-                if new_done[i] < instance.num_jobs(i)
-                else ZERO
-            )
+            new_rem[i] = _fresh(units, i, new_done[i])
         if partial is not None:
             new_rem[partial] = rem[partial] - c
         return (tuple(new_done), tuple(new_rem)), (finish, partial, c)
 
-    total = frac_sum(rem[i] for i in active)
-    if total <= ONE:
+    if sum(rem[i] for i in active) <= cap:
         # Non-wasting forces finishing every active job.
-        return [advance(tuple(active), None, ZERO)]
+        return [advance(tuple(active), None, 0)]
 
     # Zero-requirement jobs complete as soon as they are active, so
     # they belong to every finishing set.
-    forced = tuple(i for i in active if rem[i] == ZERO)
-    optional = [i for i in active if rem[i] > ZERO]
+    forced = tuple(i for i in active if rem[i] == 0)
+    optional = [i for i in active if rem[i] > 0]
 
     out = []
     for size in range(0, len(optional) + 1):
@@ -135,12 +131,12 @@ def _successors(
             finish = forced + chosen
             if not finish:
                 continue  # capacity 1 always finishes some unit job
-            used = frac_sum(rem[i] for i in chosen)
-            if used > ONE:
+            used = sum(rem[i] for i in chosen)
+            if used > cap:
                 continue
-            c = ONE - used
-            if c == ZERO:
-                out.append(advance(finish, None, ZERO))
+            c = cap - used
+            if c == 0:
+                out.append(advance(finish, None, 0))
                 continue
             # Leftover must go to exactly one job that will NOT finish
             # (w_p > c); if every remaining job fits in c, this finish
@@ -153,24 +149,96 @@ def _successors(
     return out
 
 
-def _dominates(
-    instance: Instance, a: _Key, b: _Key
-) -> bool:
-    """Lemma 4 order within a round: ``a`` is at least as far on every
-    processor and has at least as much invested everywhere."""
-    done_a, rem_a = a
-    done_b, rem_b = b
-    if any(x < y for x, y in zip(done_a, done_b)):
-        return False
-    va = _spent_vector(instance, done_a, rem_a)
-    vb = _spent_vector(instance, done_b, rem_b)
-    return all(x >= y for x, y in zip(va, vb))
+def _prune(units: Sequence[list[int]], keys: list[_Key]) -> list[_Key]:
+    """Drop every key dominated within its round (Lemma 4's order: at
+    least as far on every processor and at least as much invested
+    everywhere).  Spent vectors are computed once per key."""
+    spent = [_spent_vector(units, key) for key in keys]
+    alive = [True] * len(keys)
+    for a_idx, (done_a, _) in enumerate(keys):
+        if not alive[a_idx]:
+            continue
+        va = spent[a_idx]
+        for b_idx, (done_b, _) in enumerate(keys):
+            if a_idx == b_idx or not alive[b_idx]:
+                continue
+            if all(x >= y for x, y in zip(done_a, done_b)) and all(
+                x >= y for x, y in zip(va, spent[b_idx])
+            ):
+                alive[b_idx] = False
+    return [k for k, ok in zip(keys, alive) if ok]
+
+
+def _search(
+    units: Sequence[list[int]], cap: int, max_configurations: int
+) -> tuple[int, list[list[int]], list[int]]:
+    """Algorithm 2 on the grid: ``(makespan, witness rows, stats)``."""
+    m = len(units)
+    initial_done = (0,) * m
+    initial: _Key = (initial_done, tuple(queue[0] for queue in units))
+    final_done = tuple(len(queue) for queue in units)
+
+    #: parent[key] = (parent_key, move) for reconstruction.
+    parent: dict[_Key, tuple[_Key, _Move]] = {}
+    current: list[_Key] = [initial]
+    stats: list[int] = [1]
+    explored = 1
+
+    t = 0
+    while True:
+        # Check for the final configuration in the current round.
+        for key in current:
+            if key[0] == final_done:
+                return t, _witness_rows(m, parent, key), stats
+
+        # Expand one round.
+        nxt: dict[_Key, tuple[_Key, _Move]] = {}
+        for key in current:
+            for skey, move in _successors(units, cap, key):
+                if skey not in nxt:
+                    nxt[skey] = (key, move)
+        explored += len(nxt)
+        if explored > max_configurations:
+            raise SolverError(
+                f"configuration search exceeded {max_configurations} states; "
+                f"instance too large for the exact fixed-m algorithm"
+            )
+        if not nxt:  # pragma: no cover - final config always reached
+            raise SolverError("search space exhausted before completion")
+
+        current = _prune(units, list(nxt))
+        for k in current:
+            parent[k] = nxt[k]
+        stats.append(len(current))
+        t += 1
+
+
+def _witness_rows(
+    m: int, parent: dict[_Key, tuple[_Key, _Move]], final_key: _Key
+) -> list[list[int]]:
+    moves = []
+    key = final_key
+    while key in parent:
+        pkey, move = parent[key]
+        moves.append((pkey, move))
+        key = pkey
+    moves.reverse()
+
+    rows: list[list[int]] = []
+    for (_, prem), (finish, partial, c) in moves:
+        row = [0] * m
+        for i in finish:
+            row[i] = prem[i]
+        if partial is not None:
+            row[partial] = c
+        rows.append(row)
+    return rows
 
 
 def opt_res_assignment_general(
     instance: Instance,
     *,
-    max_configurations: int = 2_000_000,
+    max_configurations: int = _MAX_CONFIGURATIONS,
 ) -> OptGeneralResult:
     """Exact optimum for any (small) fixed ``m`` (Algorithm 2).
 
@@ -188,82 +256,24 @@ def opt_res_assignment_general(
     instance.require_single_resource("OptResAssignment2")
     instance.require_unit_size("OptResAssignment2")
     instance.require_static("OptResAssignment2")
-    m = instance.num_processors
-    initial_done = (0,) * m
-    initial: _Key = (initial_done, _fresh_remaining(instance, initial_done))
-    final_done = tuple(instance.num_jobs(i) for i in range(m))
-
-    #: parent[key] = (parent_key, move) for reconstruction.
-    parent: dict[_Key, tuple[_Key, tuple[tuple[int, ...], int | None, Fraction]]] = {}
-    current: list[_Key] = [initial]
-    stats: list[int] = [1]
-    explored = 1
-
-    t = 0
-    while True:
-        # Check for the final configuration in the current round.
-        for key in current:
-            if key[0] == final_done:
-                schedule = _reconstruct(instance, parent, key)
-                if schedule.makespan != t:  # pragma: no cover
-                    raise SolverError(
-                        f"reconstructed makespan {schedule.makespan} != round {t}"
-                    )
-                return OptGeneralResult(makespan=t, schedule=schedule, stats=stats)
-
-        # Expand one round.
-        nxt: dict[_Key, tuple[_Key, tuple[tuple[int, ...], int | None, Fraction]]] = {}
-        for key in current:
-            for skey, move in _successors(instance, key):
-                if skey not in nxt:
-                    nxt[skey] = (key, move)
-        explored += len(nxt)
-        if explored > max_configurations:
-            raise SolverError(
-                f"configuration search exceeded {max_configurations} states; "
-                f"instance too large for the exact fixed-m algorithm"
-            )
-        if not nxt:  # pragma: no cover - final config always reached
-            raise SolverError("search space exhausted before completion")
-
-        # Domination pruning (pairwise, within the round).
-        keys = list(nxt)
-        alive = [True] * len(keys)
-        for a_idx in range(len(keys)):
-            if not alive[a_idx]:
-                continue
-            for b_idx in range(len(keys)):
-                if a_idx == b_idx or not alive[b_idx]:
-                    continue
-                if _dominates(instance, keys[a_idx], keys[b_idx]):
-                    alive[b_idx] = False
-        kept = [k for k, ok in zip(keys, alive) if ok]
-        for k in kept:
-            parent[k] = nxt[k]
-        stats.append(len(kept))
-        current = kept
-        t += 1
+    units, cap = instance.to_integer_grid()
+    makespan, rows, stats = _search(units, cap, max_configurations)
+    schedule = Schedule(instance, [[Fraction(x, cap) for x in row] for row in rows])
+    if schedule.makespan != makespan:  # pragma: no cover
+        raise SolverError(
+            f"reconstructed makespan {schedule.makespan} != round {makespan}"
+        )
+    return OptGeneralResult(makespan=makespan, schedule=schedule, stats=stats)
 
 
-def _reconstruct(
-    instance: Instance,
-    parent: dict[_Key, tuple[_Key, tuple[tuple[int, ...], int | None, Fraction]]],
-    final_key: _Key,
-) -> Schedule:
-    moves = []
-    key = final_key
-    while key in parent:
-        pkey, move = parent[key]
-        moves.append((pkey, move))
-        key = pkey
-    moves.reverse()
+def grid_makespan(units: Sequence[list[int]], cap: int) -> int:
+    """Value-only Theorem-6 optimum of the grid queues *units*.
 
-    rows: list[list[Fraction]] = []
-    for (pdone, prem), (finish, partial, c) in moves:
-        row = [ZERO] * instance.num_processors
-        for i in finish:
-            row[i] = prem[i]
-        if partial is not None:
-            row[partial] = c
-        rows.append(row)
-    return Schedule(instance, rows, validate=True, trim=True)
+    The configuration search without the :class:`Schedule` artifact;
+    its witness rows are still replayed on the grid, and a witness
+    whose trimmed length differs from the search value raises
+    :class:`SolverError`.  The caller guarantees the model checks
+    (unit-size, static, k=1).
+    """
+    makespan, rows, _ = _search(units, cap, _MAX_CONFIGURATIONS)
+    return grid_witness_makespan(units, cap, rows, makespan)

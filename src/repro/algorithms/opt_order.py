@@ -59,8 +59,7 @@ from ..core.instance import Instance
 from ..exceptions import SolverError
 from .brute_force import brute_force_makespan
 from .milp import milp_makespan
-from .opt_general import opt_res_assignment_general
-from .opt_two import opt_res_assignment
+from . import opt_general, opt_two
 
 __all__ = [
     "OrderSearchResult",
@@ -118,6 +117,9 @@ def exact_order_makespan(instance: Instance, *, oracle: str = "auto") -> int:
     for the shape (single queue: each unit job completes in one full
     step, so the optimum is the job count; ``m == 2``: the Theorem 5
     dynamic program; otherwise the Theorem 6 configuration search).
+    Those oracles compute on the instance's integer grid and skip the
+    :class:`~repro.core.schedule.Schedule` artifact; each value is still
+    checked against its witness rows, replayed on the grid.
 
     Raises:
         SolverError: for an unknown *oracle* name, or ``oracle="opt-two"``
@@ -133,23 +135,30 @@ def exact_order_makespan(instance: Instance, *, oracle: str = "auto") -> int:
     instance.require_unit_size("exact_order_makespan")
     instance.require_static("exact_order_makespan")
     if oracle == "auto":
-        if instance.m == 1:
-            # One queue: the whole resource serves the current job, so
-            # every unit job (r <= 1) finishes in exactly one step.
-            return instance.num_jobs(0)
-        oracle = "opt-two" if instance.m == 2 else "opt-general"
+        return _grid_order_makespan(*instance.to_integer_grid())
     if oracle == "opt-two":
         if instance.m != 2:
             raise SolverError(
                 f"oracle 'opt-two' is the m=2 dynamic program; instance "
                 f"has m={instance.m}"
             )
-        return opt_res_assignment(instance).makespan
+        return opt_two.grid_makespan(*instance.to_integer_grid())
     if oracle == "opt-general":
-        return opt_res_assignment_general(instance).makespan
+        return opt_general.grid_makespan(*instance.to_integer_grid())
     if oracle == "brute-force":
         return brute_force_makespan(instance)
     return milp_makespan(instance)
+
+
+def _grid_order_makespan(units: list[list[int]], cap: int) -> int:
+    """The ``"auto"`` oracle on grid queues *units* (capacity *cap*)."""
+    if len(units) == 1:
+        # One queue: the whole resource serves the current job, so
+        # every unit job (r <= 1) finishes in exactly one step.
+        return len(units[0])
+    if len(units) == 2:
+        return opt_two.grid_makespan(units, cap)
+    return opt_general.grid_makespan(units, cap)
 
 
 @dataclass(slots=True)
@@ -265,6 +274,10 @@ def branch_and_bound_order(
         lower_bound_fn = order_invariant_lower_bound
     global_lb = lower_bound_fn(instance)
     use_prefix = prefix_bounds and _oracle_applies(instance)
+    if use_prefix:
+        # Every prefix is a slice of the root's grid, and the root's
+        # model checks cover it.
+        units, cap = instance.to_integer_grid()
 
     leaf_cache: dict[tuple, int] = {}
     leaf_evaluations = 0
@@ -315,15 +328,11 @@ def branch_and_bound_order(
         key = _value_key(instance, orders)
         if key in prefix_cache:
             return prefix_cache[key]
-        rows = [
-            [instance.job(i, j) for j in row]
-            for i, row in enumerate(orders)
-            if row
-        ]
+        rows = [[units[i][j] for j in row] for i, row in enumerate(orders) if row]
         if not rows:
             value = 0
         else:
-            value = exact_order_makespan(Instance(rows), oracle="auto")
+            value = _grid_order_makespan(rows, cap)
             bound_calls += 1
         prefix_cache[key] = value
         return value

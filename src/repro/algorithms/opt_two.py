@@ -29,8 +29,17 @@ requirement of the following job, 0 past the end):
 The DP fills the table diagonal by diagonal (phases of Algorithm 1) in
 ``O(n1 * n2)`` time; :func:`opt_res_assignment_pq` is the priority-
 queue variant sketched after Theorem 5 which only visits reachable
-cells.  Both reconstruct an explicit optimal schedule by walking parent
-pointers forward and re-deriving the concrete share split per step.
+cells.  Both share one transition rule and reconstruct an explicit
+optimal schedule by walking parent pointers back and re-deriving the
+concrete share split per step.
+
+The DP only adds, subtracts and compares requirements, so it runs on
+the instance's integer grid (:meth:`Instance.to_integer_grid`): ``r``
+counts units of ``1/D`` and the step capacity is ``D``.  ``Fraction``
+appears only at the API edge, where the witness rows become the
+:class:`Schedule`; the value-only :func:`grid_makespan` (the order
+search's oracle) skips the artifact but still replays its witness on
+the grid (:func:`~repro.algorithms.fastpath.grid_witness_makespan`).
 """
 
 from __future__ import annotations
@@ -38,15 +47,17 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from ..core.instance import Instance
-from ..core.numerics import ONE, ZERO
 from ..core.schedule import Schedule
 from ..exceptions import SolverError
+from .fastpath import grid_witness_makespan
 
 __all__ = ["OptTwoResult", "opt_res_assignment", "opt_res_assignment_pq"]
 
-# Move codes (stored as parent pointers for reconstruction).
+# Move codes (stored as parent pointers for reconstruction).  Each move
+# advances the cell by a fixed ``(d1, d2)`` (see ``_DELTA``).
 _BOTH = "both"  # finish both current jobs
 _ONLY1 = "only1"  # r <= 1: advance 1; job on p2 fully processed too
 _ONLY2 = "only2"  # r <= 1: advance 2; job on p1 fully processed too
@@ -54,6 +65,18 @@ _FIN1_SURPLUS2 = "fin1"  # r > 1: finish p1's job, surplus into p2's
 _FIN2_SURPLUS1 = "fin2"  # r > 1: finish p2's job, surplus into p1's
 _ADV1 = "adv1"  # p2 exhausted: p1 advances alone
 _ADV2 = "adv2"  # p1 exhausted: p2 advances alone
+
+_DELTA = {
+    _BOTH: (1, 1),
+    _ONLY1: (1, 0),
+    _FIN1_SURPLUS2: (1, 0),
+    _ADV1: (1, 0),
+    _ONLY2: (0, 1),
+    _FIN2_SURPLUS1: (0, 1),
+    _ADV2: (0, 1),
+}
+
+_Cell = tuple[int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +95,7 @@ class OptTwoResult:
     cells_expanded: int
 
 
-def _requirements(instance: Instance) -> tuple[list[Fraction], list[Fraction]]:
+def _grid(instance: Instance) -> tuple[list[list[int]], int]:
     instance.require_single_resource("OptResAssignment")
     instance.require_unit_size("OptResAssignment")
     instance.require_static("OptResAssignment")
@@ -81,44 +104,164 @@ def _requirements(instance: Instance) -> tuple[list[Fraction], list[Fraction]]:
             f"OptResAssignment handles exactly 2 processors, got "
             f"{instance.num_processors}; use opt_general for fixed m"
         )
-    return list(instance.requirements(0)), list(instance.requirements(1))
+    return instance.to_integer_grid()
 
 
 def _successors(
-    i1: int,
-    i2: int,
-    t: int,
-    r: Fraction,
-    a1: list[Fraction],
-    a2: list[Fraction],
-) -> list[tuple[int, int, int, Fraction, str]]:
-    """All Algorithm-1 transitions from cell ``(i1, i2)`` with value
-    ``(t, r)``.  Returns ``(i1', i2', t', r', move)`` tuples."""
+    i1: int, i2: int, r: int, a1: list[int], a2: list[int], cap: int
+) -> list[tuple[int, int, int, str]]:
+    """All Algorithm-1 transitions from cell ``(i1, i2)`` with remaining
+    sum ``r`` (grid units, capacity *cap*).  Every transition takes one
+    step; returns ``(i1', i2', r', move)`` tuples."""
     n1, n2 = len(a1), len(a2)
-
-    def nxt1(i: int) -> Fraction:
-        return a1[i] if i < n1 else ZERO
-
-    def nxt2(i: int) -> Fraction:
-        return a2[i] if i < n2 else ZERO
-
-    out: list[tuple[int, int, int, Fraction, str]] = []
-    if i1 >= n1 and i2 >= n2:
-        return out
+    nxt1 = a1[i1 + 1] if i1 + 1 < n1 else 0
+    nxt2 = a2[i2 + 1] if i2 + 1 < n2 else 0
     if i1 >= n1:
         # Processor 1 exhausted: p2 finishes one job per step (its
         # remaining requirement is at most 1, so one step suffices).
-        out.append((i1, i2 + 1, t + 1, nxt2(i2 + 1), _ADV2))
-    elif i2 >= n2:
-        out.append((i1 + 1, i2, t + 1, nxt1(i1 + 1), _ADV1))
-    elif r <= ONE:
-        out.append((i1 + 1, i2 + 1, t + 1, nxt1(i1 + 1) + nxt2(i2 + 1), _BOTH))
-        out.append((i1, i2 + 1, t + 1, nxt2(i2 + 1), _ONLY2))
-        out.append((i1 + 1, i2, t + 1, nxt1(i1 + 1), _ONLY1))
-    else:
-        out.append((i1, i2 + 1, t + 1, (r - ONE) + nxt2(i2 + 1), _FIN2_SURPLUS1))
-        out.append((i1 + 1, i2, t + 1, nxt1(i1 + 1) + (r - ONE), _FIN1_SURPLUS2))
-    return out
+        return [(i1, i2 + 1, nxt2, _ADV2)]
+    if i2 >= n2:
+        return [(i1 + 1, i2, nxt1, _ADV1)]
+    if r <= cap:
+        return [
+            (i1 + 1, i2 + 1, nxt1 + nxt2, _BOTH),
+            (i1, i2 + 1, nxt2, _ONLY2),
+            (i1 + 1, i2, nxt1, _ONLY1),
+        ]
+    return [
+        (i1, i2 + 1, r - cap + nxt2, _FIN2_SURPLUS1),
+        (i1 + 1, i2, nxt1 + r - cap, _FIN1_SURPLUS2),
+    ]
+
+
+def _table(
+    a1: list[int], a2: list[int], cap: int
+) -> tuple[int, dict[_Cell, str], int]:
+    """The diagonal table fill: ``(makespan, parent moves, cells expanded)``."""
+    n1, n2 = len(a1), len(a2)
+    # best[(i1, i2)] = (t, r); parent[(i1, i2)] = move into the cell
+    best: dict[_Cell, tuple[int, int]] = {(0, 0): (0, a1[0] + a2[0])}
+    parent: dict[_Cell, str] = {}
+    expanded = 0
+
+    # Diagonal-by-diagonal fill: every transition increases i1 + i2 by
+    # exactly one, so values on diagonal l are final when processing it.
+    for level in range(0, n1 + n2):
+        for i1 in range(max(0, level - n2), min(level, n1) + 1):
+            value = best.get((i1, level - i1))
+            if value is None:
+                continue
+            expanded += 1
+            st = value[0] + 1
+            for s1, s2, sr, move in _successors(
+                i1, level - i1, value[1], a1, a2, cap
+            ):
+                old = best.get((s1, s2))
+                if old is None or (st, sr) < old:
+                    best[(s1, s2)] = (st, sr)
+                    parent[(s1, s2)] = move
+    return best[(n1, n2)][0], parent, expanded
+
+
+def _pq(
+    a1: list[int], a2: list[int], cap: int
+) -> tuple[int, dict[_Cell, str], int]:
+    """The priority-queue fill: ``(makespan, parent moves, cells expanded)``."""
+    n1, n2 = len(a1), len(a2)
+    best: dict[_Cell, tuple[int, int]] = {(0, 0): (0, a1[0] + a2[0])}
+    parent: dict[_Cell, str] = {}
+    # Heap ordered by (level, t, r): levels are processed in order, and
+    # within a level the best value for a cell pops first.
+    heap: list[tuple[int, int, int, int, int]] = [(0, 0, a1[0] + a2[0], 0, 0)]
+    settled: set[_Cell] = set()
+    expanded = 0
+
+    while heap:
+        _, t, r, i1, i2 = heapq.heappop(heap)
+        key = (i1, i2)
+        if key in settled or best[key] != (t, r):
+            continue  # settled already, or a stale entry
+        settled.add(key)
+        expanded += 1
+        if key == (n1, n2):
+            return t, parent, expanded
+        for s1, s2, sr, move in _successors(i1, i2, r, a1, a2, cap):
+            skey = (s1, s2)
+            if skey in settled:
+                continue
+            old = best.get(skey)
+            if old is None or (t + 1, sr) < old:
+                best[skey] = (t + 1, sr)
+                parent[skey] = move
+                heapq.heappush(heap, (s1 + s2, t + 1, sr, s1, s2))
+    raise SolverError("priority queue exhausted before final cell")  # pragma: no cover
+
+
+def _witness_rows(
+    a1: list[int], a2: list[int], cap: int, parent: dict[_Cell, str]
+) -> list[tuple[int, int]]:
+    """Walk the parent chain back from the final cell, then replay it
+    forward tracking the true per-job remaining requirements to emit
+    concrete share vectors (grid units)."""
+    n1, n2 = len(a1), len(a2)
+    path: list[str] = []
+    i1, i2 = n1, n2
+    while (i1, i2) != (0, 0):
+        move = parent[(i1, i2)]
+        path.append(move)
+        d1, d2 = _DELTA[move]
+        i1, i2 = i1 - d1, i2 - d2
+    path.reverse()
+
+    rows: list[tuple[int, int]] = []
+    v1 = a1[0]
+    v2 = a2[0]
+    for move in path:
+        if move == _BOTH or move == _ONLY2 or move == _ONLY1:
+            # r <= 1: both current jobs are fully served this step.  A
+            # lazy move only credits one processor's advance: the other
+            # job physically completes now and its successor idles.
+            rows.append((v1, v2))
+            if move == _ONLY2:
+                v1 = 0
+            elif move == _ONLY1:
+                v2 = 0
+        elif move == _FIN2_SURPLUS1:
+            give1 = cap - v2
+            rows.append((give1, v2))
+            v1 -= give1
+        elif move == _FIN1_SURPLUS2:
+            give2 = cap - v1
+            rows.append((v1, give2))
+            v2 -= give2
+        elif move == _ADV1:
+            rows.append((v1, 0))
+        elif move == _ADV2:
+            rows.append((0, v2))
+        else:  # pragma: no cover
+            raise SolverError(f"unknown move {move!r}")
+        d1, d2 = _DELTA[move]
+        if d1:
+            i1 += 1
+            v1 = a1[i1] if i1 < n1 else 0
+        if d2:
+            i2 += 1
+            v2 = a2[i2] if i2 < n2 else 0
+    return rows
+
+
+def _solve(instance: Instance, fill) -> OptTwoResult:
+    """Run one DP *fill* on the grid and lift its witness to a Schedule."""
+    (a1, a2), cap = _grid(instance)
+    makespan, parent, expanded = fill(a1, a2, cap)
+    rows = _witness_rows(a1, a2, cap, parent)
+    schedule = Schedule(instance, [[Fraction(x, cap) for x in row] for row in rows])
+    if schedule.makespan != makespan:  # pragma: no cover - consistency check
+        raise SolverError(
+            f"reconstructed schedule has makespan {schedule.makespan}, "
+            f"DP value is {makespan}"
+        )
+    return OptTwoResult(makespan=makespan, schedule=schedule, cells_expanded=expanded)
 
 
 def opt_res_assignment(instance: Instance) -> OptTwoResult:
@@ -129,44 +272,7 @@ def opt_res_assignment(instance: Instance) -> OptTwoResult:
         SolverError: if the instance does not have exactly 2 processors.
         UnitSizeRequiredError: for non-unit-size jobs.
     """
-    a1, a2 = _requirements(instance)
-    n1, n2 = len(a1), len(a2)
-    # best[(i1, i2)] = (t, r); parent[(i1, i2)] = (pi1, pi2, move)
-    best: dict[tuple[int, int], tuple[int, Fraction]] = {}
-    parent: dict[tuple[int, int], tuple[int, int, str]] = {}
-    best[(0, 0)] = (0, a1[0] + a2[0])
-    expanded = 0
-
-    # Diagonal-by-diagonal fill: every transition increases i1 + i2 by
-    # exactly one, so values on diagonal l are final when processing it.
-    for level in range(0, n1 + n2):
-        lo = max(0, level - n2)
-        hi = min(level, n1)
-        for i1 in range(lo, hi + 1):
-            i2 = level - i1
-            key = (i1, i2)
-            if key not in best:
-                continue
-            expanded += 1
-            t, r = best[key]
-            for s1, s2, st, sr, move in _successors(i1, i2, t, r, a1, a2):
-                skey = (s1, s2)
-                old = best.get(skey)
-                if old is None or (st, sr) < old:
-                    best[skey] = (st, sr)
-                    parent[skey] = (i1, i2, move)
-
-    final = best.get((n1, n2))
-    if final is None:  # pragma: no cover - always reachable
-        raise SolverError("DP failed to reach the final cell")
-    schedule = _reconstruct(instance, a1, a2, parent, (n1, n2))
-    makespan = final[0]
-    if schedule.makespan != makespan:  # pragma: no cover - consistency check
-        raise SolverError(
-            f"reconstructed schedule has makespan {schedule.makespan}, "
-            f"DP value is {makespan}"
-        )
-    return OptTwoResult(makespan=makespan, schedule=schedule, cells_expanded=expanded)
+    return _solve(instance, _table)
 
 
 def opt_res_assignment_pq(instance: Instance) -> OptTwoResult:
@@ -177,107 +283,19 @@ def opt_res_assignment_pq(instance: Instance) -> OptTwoResult:
     many jobs pair up (``r <= 1``), most of the table is skipped.
     Produces the same optimum as :func:`opt_res_assignment`.
     """
-    a1, a2 = _requirements(instance)
-    n1, n2 = len(a1), len(a2)
-    start = (0, 0)
-    best: dict[tuple[int, int], tuple[int, Fraction]] = {start: (0, a1[0] + a2[0])}
-    parent: dict[tuple[int, int], tuple[int, int, str]] = {}
-    # Heap ordered by (level, t, r): levels are processed in order, and
-    # within a level the best value for a cell pops first.
-    heap: list[tuple[int, int, Fraction, int, int]] = [(0, 0, best[start][1], 0, 0)]
-    settled: set[tuple[int, int]] = set()
-    expanded = 0
-
-    while heap:
-        level, t, r, i1, i2 = heapq.heappop(heap)
-        key = (i1, i2)
-        if key in settled:
-            continue
-        if best.get(key) != (t, r):
-            continue  # stale entry
-        settled.add(key)
-        expanded += 1
-        if key == (n1, n2):
-            schedule = _reconstruct(instance, a1, a2, parent, key)
-            return OptTwoResult(makespan=t, schedule=schedule, cells_expanded=expanded)
-        for s1, s2, st, sr, move in _successors(i1, i2, t, r, a1, a2):
-            skey = (s1, s2)
-            if skey in settled:
-                continue
-            old = best.get(skey)
-            if old is None or (st, sr) < old:
-                best[skey] = (st, sr)
-                parent[skey] = (i1, i2, move)
-                heapq.heappush(heap, (s1 + s2, st, sr, s1, s2))
-    raise SolverError("priority queue exhausted before final cell")  # pragma: no cover
+    return _solve(instance, _pq)
 
 
-def _reconstruct(
-    instance: Instance,
-    a1: list[Fraction],
-    a2: list[Fraction],
-    parent: dict[tuple[int, int], tuple[int, int, str]],
-    final: tuple[int, int],
-) -> Schedule:
-    """Walk the parent chain, then replay it forward tracking the true
-    per-job remaining requirements to emit concrete share vectors."""
-    n1, n2 = len(a1), len(a2)
-    path: list[str] = []
-    key = final
-    while key != (0, 0):
-        pi1, pi2, move = parent[key]
-        path.append(move)
-        key = (pi1, pi2)
-    path.reverse()
+def grid_makespan(units: Sequence[list[int]], cap: int) -> int:
+    """Value-only Theorem-5 optimum of the two grid queues *units*.
 
-    rows: list[tuple[Fraction, Fraction]] = []
-    i1 = i2 = 0
-    v1 = a1[0]
-    v2 = a2[0]
-
-    def advance1() -> None:
-        nonlocal i1, v1
-        i1 += 1
-        v1 = a1[i1] if i1 < n1 else ZERO
-
-    def advance2() -> None:
-        nonlocal i2, v2
-        i2 += 1
-        v2 = a2[i2] if i2 < n2 else ZERO
-
-    for move in path:
-        if move == _BOTH:
-            rows.append((v1, v2))
-            advance1()
-            advance2()
-        elif move == _ONLY2:
-            # r <= 1: both current jobs are fully served this step; the
-            # DP only credits processor 2's advance (processor 1's job
-            # physically completes now and its successor idles).
-            rows.append((v1, v2))
-            v1 = ZERO
-            advance2()
-        elif move == _ONLY1:
-            rows.append((v1, v2))
-            v2 = ZERO
-            advance1()
-        elif move == _FIN2_SURPLUS1:
-            give1 = ONE - v2
-            rows.append((give1, v2))
-            v1 -= give1
-            advance2()
-        elif move == _FIN1_SURPLUS2:
-            give2 = ONE - v1
-            rows.append((v1, give2))
-            v2 -= give2
-            advance1()
-        elif move == _ADV1:
-            rows.append((v1, ZERO))
-            advance1()
-        elif move == _ADV2:
-            rows.append((ZERO, v2))
-            advance2()
-        else:  # pragma: no cover
-            raise SolverError(f"unknown move {move!r}")
-
-    return Schedule(instance, rows, validate=True, trim=True)
+    The table DP without the :class:`Schedule` artifact; its witness
+    rows are still replayed on the grid, and a witness whose trimmed
+    length differs from the DP value raises :class:`SolverError`.
+    The caller guarantees the model checks (unit-size, static, k=1).
+    """
+    a1, a2 = units
+    makespan, parent, _ = _table(a1, a2, cap)
+    return grid_witness_makespan(
+        units, cap, _witness_rows(a1, a2, cap, parent), makespan
+    )

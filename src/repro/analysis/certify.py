@@ -141,7 +141,8 @@ def _policy_evaluator(
     """Build an ``Instance -> value`` evaluator running *policy*."""
     from ..core.simulator import run_policy
 
-    kwargs: dict = {}
+    # The evaluator reads only the makespan or the objective value.
+    kwargs: dict = {"record_shares": False}
     if objective is not None:
         kwargs["objectives"] = (objective,)
 

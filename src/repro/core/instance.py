@@ -43,6 +43,7 @@ via :meth:`Instance.require_single_resource`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -57,6 +58,18 @@ from .numerics import (
 )
 
 __all__ = ["Instance"]
+
+
+def _product_sum(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """Exact ``sum(a * b)`` over *pairs*, in Python ints over the least
+    common denominator (no per-term ``Fraction`` normalisation)."""
+    nums: list[int] = []
+    dens: list[int] = []
+    for a, b in pairs:
+        nums.append(a.numerator * b.numerator)
+        dens.append(a.denominator * b.denominator)
+    d = math.lcm(*dens)
+    return Fraction(sum(n * (d // q) for n, q in zip(nums, dens)), d)
 
 
 class Instance:
@@ -350,7 +363,7 @@ class Instance:
         *bottleneck* work of every job; use :meth:`resource_work` for
         the per-resource congestion totals.
         """
-        return frac_sum(job.work for _, job in self.jobs())
+        return _product_sum((job.requirement, job.size) for _, job in self.jobs())
 
     def resource_work(self, resource: int) -> Fraction:
         """Congestion :math:`W_l = \\sum_{i,j} r_{ijl} \\cdot p_{ij}` of one resource.
@@ -358,8 +371,8 @@ class Instance:
         The resource-time demanded from shared resource *resource*;
         ``resource_work(0) == total_work()`` for ``k == 1``.
         """
-        return frac_sum(
-            job.requirements[resource] * job.size for _, job in self.jobs()
+        return _product_sum(
+            (job.requirements[resource], job.size) for _, job in self.jobs()
         )
 
     def work_lower_bound(self) -> int:
@@ -431,7 +444,10 @@ class Instance:
         """
         self.require_single_resource("to_integer_grid")
         d = self.resource_denominator()
-        units = [[int(job.requirement * d) for job in queue] for queue in self._queues]
+        units = [
+            [r.numerator * (d // r.denominator) for r in self.requirements(i)]
+            for i in range(len(self._queues))
+        ]
         return units, d
 
     # ------------------------------------------------------------------
