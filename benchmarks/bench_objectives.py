@@ -2,14 +2,15 @@
 
 Reproduces the two objective-axis experiments (verdicts: the tuned
 policies beat round-robin under their objective) and times an
-objective-evaluating vector campaign -- the online ObjectiveRecorder
-path must stay cheap relative to the plain makespan campaign.
+objective-evaluating vector campaign -- evaluating each objective once
+per run from its completion steps must stay cheap relative to the
+plain makespan campaign.
 """
 
 from repro.backends.batch import BatchRunner, make_campaign_instances
 from repro.experiments import get_experiment
 
-#: Online objective accounting may cost at most this factor in
+#: Objective evaluation may cost at most this factor in
 #: campaign wall time vs the plain makespan-only run.
 OVERHEAD_FACTOR = 2.0
 

@@ -82,6 +82,7 @@ from .exceptions import (
     SimulationLimitError,
     SolverError,
     UnitSizeRequiredError,
+    UnknownObjectiveError,
     UnknownPolicyError,
 )
 from .sequencing import (
@@ -129,6 +130,7 @@ __all__ = [
     "Tardiness",
     "TelemetrySession",
     "UnitSizeRequiredError",
+    "UnknownObjectiveError",
     "UnknownPolicyError",
     "VectorBackend",
     "WeightedFlowTime",

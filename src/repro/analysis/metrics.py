@@ -14,8 +14,9 @@ module also ships independent closed-form evaluators
 (:func:`weighted_flow_time`, :func:`total_tardiness`,
 :func:`max_lateness`, :func:`deadline_misses`) that recompute the
 flow/tardiness objectives directly from a schedule's completion
-records -- the defense-in-depth cross-check the tests hold the online
-accumulators against.
+records -- the defense-in-depth cross-check the tests hold each
+objective's :meth:`~repro.objectives.base.Objective.value_from_completions`
+reduction against.
 """
 
 from __future__ import annotations
@@ -172,9 +173,9 @@ def mean_completion_time(schedule: Schedule) -> Fraction:
 def weighted_flow_time(schedule: Schedule) -> Fraction:
     """:math:`F_w = \\sum w_{ij} (C_{ij} - r_i)`, computed directly.
 
-    Independent of the online accumulator in
-    :mod:`repro.objectives.flow` (closed-form over the schedule's
-    completion records); the tests assert the two agree.
+    Independent of the reduction in :mod:`repro.objectives.flow`
+    (a plain ``Fraction`` loop over the schedule's completion
+    records); the tests assert the two agree.
     """
     instance = schedule.instance
     total = Fraction(0)

@@ -33,7 +33,8 @@ from ..telemetry import get_session
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..core.instance import Instance
-    from ..core.kernel import KernelRuntime, ObjectiveRecorder
+    from ..core.job import JobId
+    from ..core.kernel import KernelRuntime
     from ..core.schedule import Schedule
     from ..objectives.base import Objective
 
@@ -103,10 +104,10 @@ class BackendResult:
             backends; lets objectives re-evaluate the result without a
             side channel).
         objective_values: objective name -> value for every objective
-            requested via ``run(..., objectives=...)``, computed
-            *online* by kernel observers (exact ``Fraction``/int values
-            on the exact backend, the same integers-from-float64
-            completions on the vector backend).
+            requested via ``run(..., objectives=...)``, evaluated once
+            after the run from ``completion_steps`` (exact
+            ``Fraction``/int values on every backend: the vector
+            backend's completion steps are integers too).
     """
 
     backend: str
@@ -173,8 +174,8 @@ class Backend(ABC):
                 makespan matters.
             objectives: objectives (registry names or
                 :class:`~repro.objectives.base.Objective` instances) to
-                evaluate online during the run; their values land in
-                :attr:`BackendResult.objective_values`.
+                evaluate from the run's completion steps; their values
+                land in :attr:`BackendResult.objective_values`.
         """
 
     @staticmethod
@@ -191,21 +192,20 @@ class Backend(ABC):
 
         return resolve_policy(policy)
 
-    def _objective_observers(
-        self, instance: "Instance", objectives: "Sequence[Objective | str]"
-    ) -> "list[ObjectiveRecorder]":
-        """Online objective recorders for one run (shared plumbing)."""
-        return [
-            obj.online_observer(instance)
-            for obj in resolve_objectives(objectives)
-        ]
-
     @staticmethod
     def _objective_values(
-        recorders: "Sequence[ObjectiveRecorder]",
+        instance: "Instance",
+        objectives: "Sequence[Objective]",
+        completion_steps: "dict[JobId, int]",
+        makespan: int,
     ) -> dict[str, Any]:
-        """Collect ``name -> value`` from finished recorders."""
-        return {rec.objective.name: rec.value for rec in recorders}
+        """``name -> value`` of each objective on one finished run."""
+        return {
+            obj.name: obj.value_from_completions(
+                instance, completion_steps, makespan
+            )
+            for obj in objectives
+        }
 
     def make_runtime(self, instance: "Instance", policy) -> "KernelRuntime":
         """The kernel runtime this backend contributes.

@@ -89,7 +89,7 @@ def _run_one(payload: tuple) -> dict[str, Any]:
         "worker": os.getpid(),
     }
     if objectives:
-        # One entry per requested objective: online value, the
+        # One entry per requested objective: its value on the run, the
         # objective's instance certificate, and their guarded ratio.
         # A ratio of inf (zero/negative bound, positive value -- the
         # certificate cannot grade the run) is stored as None so the
@@ -277,8 +277,8 @@ class BatchRunner:
             -- useful under restricted environments and for
             determinism baselines).
         max_steps: per-instance safety limit forwarded to the backend.
-        objectives: objective registry names to evaluate online on
-            every instance (see
+        objectives: objective registry names to evaluate on every
+            instance's completion steps (see
             :func:`repro.objectives.available_objectives`); empty (the
             default) keeps the legacy makespan-only campaign shape
             bit-identical.

@@ -20,10 +20,12 @@ and advances all of them with one shared array program per step:
   compaction threshold (default < 50%), the state *compacts* to the
   surviving lanes so long-tail ragged batches stop paying for dead
   ones (``BatchRunResult.compactions`` counts the shrinks);
-* objectives accumulate lane-wise through the standard
-  ``ObjectiveAccumulator`` contract, so makespan / weighted flow /
-  tardiness come out as length-``B`` vectors identical to ``B``
-  separate :class:`~repro.backends.vector.VectorBackend` runs.
+* each lane records its integer completion steps, and every objective
+  is evaluated once per lane after the run through
+  :meth:`~repro.objectives.base.Objective.value_from_completions`, so
+  makespan / weighted flow / tardiness come out as length-``B``
+  vectors equal to ``B`` separate
+  :class:`~repro.backends.vector.VectorBackend` runs.
 
 Policies advertise a batched priority path via
 :meth:`repro.algorithms.base.Policy.shares_batch` (the water-filling
@@ -37,8 +39,8 @@ Bit-consistency: padded processors carry zero jobs, zero remaining
 work, and zero requirements, so they contribute exact ``0.0`` terms to
 every cumsum and never perturb real grants; all apply arithmetic is
 elementwise.  The crosscheck suite (``tests/backends``) pins batched
-lanes against per-lane vector runs within ``1e-9`` and against the
-exact backend's makespans.
+lanes' makespans and objective values equal (``==``) to per-lane
+vector runs, and their makespans to the exact backend's.
 """
 
 from __future__ import annotations
@@ -708,8 +710,8 @@ class BatchVectorRuntime:
         per-lane step limits (*max_steps* or each instance's
         :func:`~repro.core.simulator.default_step_limit`), per-lane
         stall detection (*stall_limit* consecutive zero-progress steps
-        while not waiting on a release), and lane-wise objective
-        accumulation through the standard accumulator contract.
+        while not waiting on a release).  Each lane's objectives are
+        evaluated once, from its completion steps, when the run ends.
 
         Under an installed telemetry session the run is wrapped in a
         ``batched.run`` span (with per-step ``batched.step`` records
@@ -729,31 +731,25 @@ class BatchVectorRuntime:
         objectives = resolve_objectives(tuple(objectives))
         state = self.state
         B = state.num_lanes
+        instances = state.instances
         if max_steps is None:
             limits = np.array(
-                [default_step_limit(inst) for inst in state.instances],
+                [default_step_limit(inst) for inst in instances],
                 dtype=np.int64,
             )
         else:
             limits = np.full(B, int(max_steps), dtype=np.int64)
-        accumulators = [
-            [obj.start(inst) for inst in state.instances]
-            for obj in objectives
-        ]
-        values: list[list] = [[None] * B for _ in objectives]
+        completions: list[dict] = [{} for _ in range(B)]
         makespans = np.zeros(B, dtype=np.int64)
         stalled = np.zeros(B, dtype=np.int64)
-        # Results are reported against *original* lane indices; the
-        # state may compact to its surviving lanes mid-run, so this
-        # map tracks where each current lane started.
+        # Results (makespans, completion steps) are kept against
+        # *original* lane indices; the state may compact to its
+        # surviving lanes mid-run, so this map tracks where each
+        # current lane started.
         origin = np.arange(B, dtype=np.int64)
         threshold = self.compact_threshold
         compactions = 0
         live = ~state.lane_done
-        # Lanes born finished (no jobs at all) have makespan 0.
-        for b in np.flatnonzero(~live):
-            for o in range(len(objectives)):
-                values[o][b] = accumulators[o][b].finish(0)
         t0 = perf_counter()
         session = get_session()
         tracer = session.tracer if session is not None else None
@@ -777,16 +773,11 @@ class BatchVectorRuntime:
             steps += 1
             if objectives:
                 for b, i, j in completed:
-                    for o in range(len(objectives)):
-                        accumulators[o][b].complete((i, j), t)
+                    completions[origin[b]][(i, j)] = t
             lane_done = state.lane_done
             newly_done = live & lane_done
             if newly_done.any():
-                for b in np.flatnonzero(newly_done):
-                    ob = int(origin[b])
-                    makespans[ob] = t + 1
-                    for o in range(len(objectives)):
-                        values[o][ob] = accumulators[o][b].finish(t + 1)
+                makespans[origin[newly_done]] = t + 1
                 live &= ~lane_done
             waiting = state.lane_waiting
             stalled = np.where(
@@ -817,17 +808,19 @@ class BatchVectorRuntime:
                 origin = origin[live]
                 limits = limits[live]
                 stalled = stalled[live]
-                keep = np.flatnonzero(live)
-                for o in range(len(objectives)):
-                    accumulators[o] = [accumulators[o][b] for b in keep]
                 live = np.ones(state.num_lanes, dtype=bool)
                 compactions += 1
+        objective_values = {
+            obj.name: [
+                obj.value_from_completions(inst, done, int(makespan))
+                for inst, done, makespan in zip(instances, completions, makespans)
+            ]
+            for obj in objectives
+        }
         wall = perf_counter() - t0
         result = BatchRunResult(
             makespans=makespans,
-            objective_values={
-                obj.name: values[o] for o, obj in enumerate(objectives)
-            },
+            objective_values=objective_values,
             lanes=B,
             steps=steps,
             lane_steps=int(makespans.sum()),

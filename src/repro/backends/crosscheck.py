@@ -81,7 +81,7 @@ def cross_validate(
         compare_shares: also compute the max per-step share deviation
             (needs both runs recorded; skip for bulk audits).
         objectives: objectives (registry names or instances) whose
-            online values must also agree between the backends.  Flow
+            values must also agree between the backends.  Flow
             and tardiness values are derived from integer completion
             steps on both sides, so agreement within *rtol* on grid
             instances means exact agreement.

@@ -18,7 +18,7 @@ from ..core.kernel import (
     run_kernel,
 )
 from ..core.simulator import simulate
-from .base import Backend, BackendResult, backend_run_span
+from .base import Backend, BackendResult, backend_run_span, resolve_objectives
 
 __all__ = ["ExactBackend"]
 
@@ -58,7 +58,7 @@ class ExactBackend(Backend):
         :func:`repro.algorithms.resolve_policy`.
         """
         policy = self._resolve_policy(policy)
-        recorders = self._objective_observers(instance, objectives)
+        objectives = resolve_objectives(objectives)
         with backend_run_span(self.name, instance, policy) as span:
             if instance.num_resources != 1:
                 result = self._run_multi(
@@ -66,12 +66,9 @@ class ExactBackend(Backend):
                     policy,
                     max_steps=max_steps,
                     record_shares=record_shares,
-                    recorders=recorders,
                 )
             else:
-                schedule = simulate(
-                    instance, policy, max_steps=max_steps, observers=recorders
-                )
+                schedule = simulate(instance, policy, max_steps=max_steps)
                 shares = None
                 processed = None
                 if record_shares:
@@ -87,10 +84,12 @@ class ExactBackend(Backend):
                     completion_steps=dict(schedule.completion_steps),
                     schedule=schedule,
                     instance=instance,
-                    objective_values=self._objective_values(recorders),
                 )
             if span is not None:
                 span.note(makespan=result.makespan)
+        result.objective_values = self._objective_values(
+            instance, objectives, result.completion_steps, result.makespan
+        )
         return result
 
     def _run_multi(
@@ -100,12 +99,11 @@ class ExactBackend(Backend):
         *,
         max_steps: int | None,
         record_shares: bool,
-        recorders: list,
     ) -> BackendResult:
         """Kernel-direct multi-resource run (no Schedule artifact)."""
         runtime = ExactRuntime(instance)
         completions = CompletionRecorder()
-        observers: list = [completions, *recorders]
+        observers: list = [completions]
         recorder: ShareRecorder | None = None
         if record_shares:
             recorder = ShareRecorder()
@@ -122,5 +120,4 @@ class ExactBackend(Backend):
             ),
             completion_steps=completions.completion_steps,
             instance=instance,
-            objective_values=self._objective_values(recorders),
         )

@@ -46,7 +46,7 @@ from ..exceptions import (
     InfeasibleAssignmentError,
     VectorizationUnsupportedError,
 )
-from .base import Backend, BackendResult, backend_run_span
+from .base import Backend, BackendResult, backend_run_span, resolve_objectives
 
 __all__ = ["VectorState", "VectorRuntime", "VectorBackend"]
 
@@ -651,9 +651,9 @@ class VectorBackend(Backend):
         """
         policy = self._resolve_policy(policy)
         runtime = self.make_runtime(instance, policy)
+        objectives = resolve_objectives(objectives)
         completions = CompletionRecorder()
-        recorders = self._objective_observers(instance, objectives)
-        observers: list = [completions, *recorders]
+        observers: list = [completions]
         recorder: ShareRecorder | None = None
         if record_shares:
             recorder = ShareRecorder()
@@ -677,5 +677,7 @@ class VectorBackend(Backend):
             ),
             completion_steps=completions.completion_steps,
             instance=instance,
-            objective_values=self._objective_values(recorders),
+            objective_values=self._objective_values(
+                instance, objectives, completions.completion_steps, makespan
+            ),
         )

@@ -26,7 +26,6 @@ from .kernel import (
     CompletionRecorder,
     ExactRuntime,
     KernelRuntime,
-    ObjectiveRecorder,
     ShareRecorder,
     StepEvent,
     StepObserver,
@@ -83,7 +82,6 @@ __all__ = [
     "ExactRuntime",
     "ExecState",
     "KernelRuntime",
-    "ObjectiveRecorder",
     "ShareRecorder",
     "StepEvent",
     "StepObserver",

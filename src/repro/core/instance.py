@@ -43,7 +43,6 @@ via :meth:`Instance.require_single_resource`.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -54,22 +53,11 @@ from .numerics import (
     common_denominator,
     frac_ceil,
     frac_sum,
+    product_sum,
     to_frac,
 )
 
 __all__ = ["Instance"]
-
-
-def _product_sum(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
-    """Exact ``sum(a * b)`` over *pairs*, in Python ints over the least
-    common denominator (no per-term ``Fraction`` normalisation)."""
-    nums: list[int] = []
-    dens: list[int] = []
-    for a, b in pairs:
-        nums.append(a.numerator * b.numerator)
-        dens.append(a.denominator * b.denominator)
-    d = math.lcm(*dens)
-    return Fraction(sum(n * (d // q) for n, q in zip(nums, dens)), d)
 
 
 class Instance:
@@ -363,7 +351,7 @@ class Instance:
         *bottleneck* work of every job; use :meth:`resource_work` for
         the per-resource congestion totals.
         """
-        return _product_sum((job.requirement, job.size) for _, job in self.jobs())
+        return product_sum((job.requirement, job.size) for _, job in self.jobs())
 
     def resource_work(self, resource: int) -> Fraction:
         """Congestion :math:`W_l = \\sum_{i,j} r_{ijl} \\cdot p_{ij}` of one resource.
@@ -371,7 +359,7 @@ class Instance:
         The resource-time demanded from shared resource *resource*;
         ``resource_work(0) == total_work()`` for ``k == 1``.
         """
-        return _product_sum(
+        return product_sum(
             (job.requirements[resource], job.size) for _, job in self.jobs()
         )
 

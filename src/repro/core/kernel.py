@@ -57,7 +57,6 @@ __all__ = [
     "StepObserver",
     "ShareRecorder",
     "CompletionRecorder",
-    "ObjectiveRecorder",
     "TelemetryObserver",
     "KernelRuntime",
     "ExactRuntime",
@@ -266,59 +265,6 @@ class CompletionRecorder(StepObserver):
         self.completion_steps = {
             (int(i), int(j)): int(t) for i, j, t in state["completions"]
         }
-
-
-class ObjectiveRecorder(StepObserver):
-    """Accumulate a scheduling objective online during the run.
-
-    The shared bridge between the kernel and the pluggable objective
-    layer (:mod:`repro.objectives`): the objective contributes a
-    per-run accumulator, the recorder feeds it the kernel's completion
-    stream, and :attr:`value` holds the objective value once
-    :meth:`on_finish` has fired -- the same observer works unchanged on
-    the exact and the vector runtime, so objectives never need a second
-    pass over recorded rows.
-
-    Args:
-        objective: any object with ``start(instance)`` returning an
-            accumulator with ``complete(job, t)`` / ``finish(makespan)``
-            (the :class:`repro.objectives.base.Objective` contract).
-        instance: the instance the run executes.
-    """
-
-    __slots__ = ("objective", "value", "_accumulator", "_seen", "_instance")
-
-    def __init__(self, objective, instance: Instance) -> None:
-        self.objective = objective
-        self.value = None
-        self._instance = instance
-        self._accumulator = objective.start(instance)
-        #: Completion events in arrival order, kept so a checkpoint can
-        #: replay them into a fresh accumulator on resume (accumulators
-        #: are arbitrary objective-defined objects; their state is the
-        #: fold over this stream by construction).
-        self._seen: list[tuple["JobId", int]] = []
-
-    def on_complete(self, job: "JobId", t: int) -> None:
-        """Feed one completion to the objective's accumulator."""
-        self._seen.append((job, t))
-        self._accumulator.complete(job, t)
-
-    def on_finish(self, makespan: int) -> None:
-        """Close the accumulator and publish the objective value."""
-        self.value = self._accumulator.finish(makespan)
-
-    def capture_state(self) -> dict:
-        """The completion stream the accumulator has folded so far."""
-        return {"completions": [[i, j, t] for (i, j), t in self._seen]}
-
-    def restore_state(self, state: dict) -> None:
-        """Replay a captured completion stream into a fresh accumulator."""
-        self.value = None
-        self._accumulator = self.objective.start(self._instance)
-        self._seen = []
-        for i, j, t in state["completions"]:
-            self.on_complete((int(i), int(j)), int(t))
 
 
 class KernelRuntime:

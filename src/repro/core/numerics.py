@@ -41,6 +41,7 @@ __all__ = [
     "frac_ceil",
     "frac_floor",
     "frac_sum",
+    "product_sum",
     "common_denominator",
     "quantize",
     "as_float",
@@ -120,6 +121,21 @@ def frac_sum(values: Iterable[Num]) -> Fraction:
     for v in values:
         total += to_frac(v)
     return total
+
+
+def product_sum(pairs: Iterable[tuple[Rational | int, Rational | int]]) -> Fraction:
+    """Exact ``sum(a * b)`` over *pairs* of rationals or ints.
+
+    Python ints over the least common denominator: no per-term
+    ``Fraction`` normalisation (the empty sum is 0).
+    """
+    nums: list[int] = []
+    dens: list[int] = []
+    for a, b in pairs:
+        nums.append(a.numerator * b.numerator)
+        dens.append(a.denominator * b.denominator)
+    d = math.lcm(*dens)
+    return Fraction(sum(n * (d // q) for n, q in zip(nums, dens)), d)
 
 
 def common_denominator(values: Iterable[Num]) -> int:

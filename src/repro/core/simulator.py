@@ -138,10 +138,10 @@ def simulate(
             nothing changed (no work processed, no job completed) while
             no processor was waiting on a release -- the signature of a
             policy that will never terminate.
-        observers: extra kernel step observers (e.g. the
-            :class:`~repro.core.kernel.ObjectiveRecorder` hooks the
-            exact backend attaches for online objective values),
-            notified after the simulator's own share recorder.
+        observers: extra kernel step observers (e.g. a
+            :class:`~repro.core.kernel.CompletionRecorder`), notified
+            after the simulator's own share recorder.  Objectives need
+            none: they are evaluated from the returned schedule.
 
     Returns:
         A validated :class:`Schedule`.

@@ -20,6 +20,7 @@ __all__ = [
     "BackendError",
     "VectorizationUnsupportedError",
     "UnknownPolicyError",
+    "UnknownObjectiveError",
     "SequencingError",
     "CheckpointError",
     "ServiceError",
@@ -129,4 +130,18 @@ class UnknownPolicyError(ReproError, KeyError):
     def __str__(self) -> str:
         # KeyError.__str__ repr()s its single argument, which would
         # wrap the human-readable message in quotes.
+        return self.args[0] if len(self.args) == 1 else super().__str__()
+
+
+class UnknownObjectiveError(ReproError, KeyError):
+    """An objective name has no entry in the objective registry.
+
+    Raised by :func:`repro.objectives.get_objective` (and therefore by
+    ``Backend.run(objectives=...)``, ``run_batch`` and
+    ``BatchRunner``).  The message lists
+    :func:`repro.objectives.available_objectives`; subclasses
+    ``KeyError`` like :class:`UnknownPolicyError`.
+    """
+
+    def __str__(self) -> str:
         return self.args[0] if len(self.args) == 1 else super().__str__()

@@ -1,11 +1,14 @@
 """Pluggable scheduling objectives (makespan, flow, deadlines).
 
 The paper's analysis targets the makespan; this layer makes the
-objective a first-class, swappable axis threaded through the kernel
-(online :class:`~repro.core.kernel.ObjectiveRecorder` observers), the
-backends (``run(..., objectives=...)`` /
-:func:`~repro.backends.crosscheck.cross_validate`), the batch runner,
-the experiment harness, and the CLI (``--objective``).
+objective a first-class, swappable axis threaded through the backends
+(``run(..., objectives=...)`` /
+:func:`~repro.backends.crosscheck.cross_validate`), the batched
+engine, the batch runner, the experiment harness, and the CLI
+(``--objective``).  Each objective is defined once, as an exact
+reduction over a run's integer completion steps
+(:meth:`Objective.value_from_completions`), and every engine evaluates
+it once per run after the kernel finishes.
 
 Registered objectives:
 
@@ -26,7 +29,6 @@ Select by name::
 
 from .base import (
     Objective,
-    ObjectiveAccumulator,
     available_objectives,
     get_objective,
     register_objective,
@@ -38,7 +40,6 @@ from .tardiness import TARDINESS_MODES, Tardiness
 __all__ = [
     "Makespan",
     "Objective",
-    "ObjectiveAccumulator",
     "TARDINESS_MODES",
     "Tardiness",
     "WeightedFlowTime",

@@ -1,18 +1,14 @@
 """The :class:`Objective` protocol and its registry.
 
 The paper optimizes the makespan; the objective layer makes that choice
-pluggable.  An *objective* bundles four things behind one contract:
+pluggable.  An *objective* bundles three things behind one contract:
 
-* **value** -- evaluate a finished run, either from a validated
-  :class:`~repro.core.schedule.Schedule` or from a backend's
-  completion-step record (:meth:`Objective.value` /
-  :meth:`Objective.value_from_completions`);
-* **online accumulation** -- a per-run
-  :class:`ObjectiveAccumulator` driven by the kernel's completion
-  stream, so both the exact and the vector runtime compute the
-  objective *during* the run with no second pass
-  (:meth:`Objective.online_observer` wraps it in a
-  :class:`~repro.core.kernel.ObjectiveRecorder` step observer);
+* **value** -- one exact reduction over the completion-step record
+  (:meth:`Objective.value_from_completions`), evaluated once per run
+  after the kernel finishes; :meth:`Objective.value` applies it to a
+  validated :class:`~repro.core.schedule.Schedule` or a backend result.
+  Every engine records the same integer completion steps, so every
+  engine reports the same exact value;
 * **lower bound** -- an instance-only certificate
   (:meth:`Objective.lower_bound`) generalizing Observation 1's role
   for the makespan;
@@ -42,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from ..core.instance import Instance
 from ..core.job import JobId
-from ..core.kernel import ObjectiveRecorder
+from ..exceptions import UnknownObjectiveError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..backends.base import BackendResult
@@ -50,36 +46,17 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 __all__ = [
     "Objective",
-    "ObjectiveAccumulator",
     "register_objective",
     "get_objective",
     "available_objectives",
 ]
 
 
-class ObjectiveAccumulator:
-    """Per-run mutable state fed by the kernel's completion stream.
-
-    Created by :meth:`Objective.start`; :meth:`complete` is called once
-    per finished job (in completion order), :meth:`finish` once at the
-    end of the run and returns the objective value.  Accumulators are
-    single-use: one accumulator per run.
-    """
-
-    def complete(self, job: JobId, t: int) -> None:
-        """Record that *job* completed in (0-based) step *t*."""
-        raise NotImplementedError
-
-    def finish(self, makespan: int):
-        """Close the run of *makespan* steps and return the value."""
-        raise NotImplementedError
-
-
 class Objective(ABC):
     """Abstract scheduling objective (see the module docstring).
 
-    Subclasses implement :meth:`start` (the online accumulator) and
-    :meth:`lower_bound`; evaluation and observer plumbing are shared.
+    Subclasses implement :meth:`value_from_completions` (the one
+    definition of the objective) and :meth:`lower_bound`.
 
     Example:
         >>> from repro.core import Instance
@@ -98,44 +75,20 @@ class Objective(ABC):
     sense: str = "min"
 
     @abstractmethod
-    def start(self, instance: Instance) -> ObjectiveAccumulator:
-        """A fresh accumulator for one run on *instance*."""
-
-    @abstractmethod
-    def lower_bound(self, instance: Instance):
-        """An instance-only lower bound on the optimal value."""
-
-    def online_observer(self, instance: Instance) -> ObjectiveRecorder:
-        """A kernel step observer computing this objective online.
-
-        Attach it to any :func:`~repro.core.kernel.run_kernel` run
-        (exact or vector runtime); the value is on
-        :attr:`~repro.core.kernel.ObjectiveRecorder.value` after the
-        run finishes.
-        """
-        return ObjectiveRecorder(self, instance)
-
     def value_from_completions(
-        self,
-        instance: Instance,
-        completion_steps: Mapping[JobId, int],
-        makespan: int | None = None,
+        self, instance: Instance, completion_steps: Mapping[JobId, int], makespan: int | None = None
     ):
         """Evaluate the objective from a completion-step record.
 
         *completion_steps* maps every job id to its 0-based completion
-        step (the form both backends report).  *makespan* defaults to
-        ``max(step) + 1`` -- exact for complete runs, which end in the
-        step finishing the last job.
+        step (the form every engine reports).  *makespan* is the run's
+        step count; it defaults to ``max(step) + 1`` -- exact for
+        complete runs, which end in the step finishing the last job.
         """
-        accumulator = self.start(instance)
-        for job, t in completion_steps.items():
-            accumulator.complete(job, t)
-        if makespan is None:
-            makespan = (
-                max(completion_steps.values()) + 1 if completion_steps else 0
-            )
-        return accumulator.finish(makespan)
+
+    @abstractmethod
+    def lower_bound(self, instance: Instance):
+        """An instance-only lower bound on the optimal value."""
 
     def value(self, source: "Schedule | BackendResult", instance: Instance | None = None):
         """Evaluate the objective on a finished run.
@@ -151,10 +104,7 @@ class Objective(ABC):
                 f"objective {self.name!r} needs the instance to evaluate "
                 "this result; pass instance= explicitly"
             )
-        makespan = getattr(source, "makespan", None)
-        return self.value_from_completions(
-            instance, source.completion_steps, makespan
-        )
+        return self.value_from_completions(instance, source.completion_steps, source.makespan)
 
     def ratio(self, value, bound) -> float:
         """``value / lower_bound`` with a guard for zero bounds.
@@ -190,12 +140,13 @@ def get_objective(name: str) -> Objective:
     """Instantiate a registered objective by name.
 
     Raises:
-        KeyError: with the list of known names.
+        UnknownObjectiveError: (a ``KeyError`` subclass) with the list
+            of known names.
     """
     try:
         return _REGISTRY[name]()
     except KeyError:
-        raise KeyError(
+        raise UnknownObjectiveError(
             f"unknown objective {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
 

@@ -18,32 +18,15 @@ tuned for it.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from ..core.instance import Instance
 from ..core.job import JobId
 from ..core.lower_bounds import weighted_flow_bound
-from .base import Objective, ObjectiveAccumulator, register_objective
+from ..core.numerics import product_sum
+from .base import Objective, register_objective
 
 __all__ = ["WeightedFlowTime"]
-
-
-class _FlowAccumulator(ObjectiveAccumulator):
-    """Sum ``w * (C - release)`` over the completion stream."""
-
-    __slots__ = ("_weights", "_releases", "total")
-
-    def __init__(self, instance: Instance) -> None:
-        self._weights = {jid: job.weight for jid, job in instance.jobs()}
-        self._releases = instance.releases
-        self.total = Fraction(0)
-
-    def complete(self, job: JobId, t: int) -> None:
-        """Add the job's weighted flow (1-based completion - release)."""
-        self.total += self._weights[job] * (t + 1 - self._releases[job[0]])
-
-    def finish(self, makespan: int) -> Fraction:
-        """The accumulated weighted flow time."""
-        return self.total
 
 
 @register_objective
@@ -60,9 +43,16 @@ class WeightedFlowTime(Objective):
 
     name = "weighted-flow"
 
-    def start(self, instance: Instance) -> _FlowAccumulator:
-        """A fresh flow accumulator bound to the instance's weights."""
-        return _FlowAccumulator(instance)
+    def value_from_completions(
+        self, instance: Instance, completion_steps: Mapping[JobId, int], makespan: int | None = None
+    ) -> Fraction:
+        """``sum w * (C - release)`` over the 1-based completion steps."""
+        queues = instance.queues
+        releases = instance.releases
+        return product_sum(
+            (queues[i][j].weight, t + 1 - releases[i])
+            for (i, j), t in completion_steps.items()
+        )
 
     def lower_bound(self, instance: Instance) -> Fraction:
         """Per-job earliest-completion certificates, weight-summed."""

@@ -9,24 +9,13 @@ bound *is* :meth:`repro.core.instance.Instance.makespan_lower_bound`
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from ..core.instance import Instance
 from ..core.job import JobId
-from .base import Objective, ObjectiveAccumulator, register_objective
+from .base import Objective, register_objective
 
 __all__ = ["Makespan"]
-
-
-class _MakespanAccumulator(ObjectiveAccumulator):
-    """Trivial accumulator: the value is the step count itself."""
-
-    __slots__ = ()
-
-    def complete(self, job: JobId, t: int) -> None:
-        """Completions carry no extra information for the makespan."""
-
-    def finish(self, makespan: int) -> int:
-        """The makespan is the number of executed steps."""
-        return makespan
 
 
 @register_objective
@@ -44,9 +33,13 @@ class Makespan(Objective):
 
     name = "makespan"
 
-    def start(self, instance: Instance) -> _MakespanAccumulator:
-        """A fresh (stateless) makespan accumulator."""
-        return _MakespanAccumulator()
+    def value_from_completions(
+        self, instance: Instance, completion_steps: Mapping[JobId, int], makespan: int | None = None
+    ) -> int:
+        """The number of executed steps (the last completion + 1)."""
+        if makespan is None:
+            return max(completion_steps.values(), default=-1) + 1
+        return makespan
 
     def lower_bound(self, instance: Instance) -> int:
         """Observation 1 + release/length refinements (the paper's bound)."""

@@ -29,12 +29,13 @@ for it.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import Mapping
 
 from ..core.instance import Instance
 from ..core.job import JobId
 from ..core.lower_bounds import max_lateness_bound, tardiness_bound
-from .base import Objective, ObjectiveAccumulator, register_objective
+from ..core.numerics import product_sum
+from .base import Objective, register_objective
 
 __all__ = ["Tardiness", "TARDINESS_MODES"]
 
@@ -46,41 +47,6 @@ _MODE_NAMES = {
     "max-lateness": "max-lateness",
     "misses": "deadline-misses",
 }
-
-
-class _TardinessAccumulator(ObjectiveAccumulator):
-    """Accumulate lateness statistics over the completion stream."""
-
-    __slots__ = ("_jobs", "mode", "total", "max_lateness", "misses")
-
-    def __init__(self, instance: Instance, mode: str) -> None:
-        self._jobs = {
-            jid: (job.deadline, job.weight) for jid, job in instance.jobs()
-        }
-        self.mode = mode
-        self.total = Fraction(0)
-        self.max_lateness: int | None = None
-        self.misses = 0
-
-    def complete(self, job: JobId, t: int) -> None:
-        """Fold one completion into tardiness/lateness/miss totals."""
-        deadline, weight = self._jobs[job]
-        if deadline is None:
-            return
-        lateness = t + 1 - deadline
-        if self.max_lateness is None or lateness > self.max_lateness:
-            self.max_lateness = lateness
-        if lateness > 0:
-            self.total += weight * lateness
-            self.misses += 1
-
-    def finish(self, makespan: int):
-        """The aggregate selected by the mode (0 without deadlines)."""
-        if self.mode == "total":
-            return self.total
-        if self.mode == "max-lateness":
-            return 0 if self.max_lateness is None else self.max_lateness
-        return self.misses
 
 
 class Tardiness(Objective):
@@ -111,9 +77,22 @@ class Tardiness(Objective):
         self.mode = mode
         self.name = _MODE_NAMES[mode]
 
-    def start(self, instance: Instance) -> _TardinessAccumulator:
-        """A fresh accumulator bound to the instance's deadlines."""
-        return _TardinessAccumulator(instance, self.mode)
+    def value_from_completions(
+        self, instance: Instance, completion_steps: Mapping[JobId, int], makespan: int | None = None
+    ):
+        """The aggregate selected by the mode (0 without deadlines)."""
+        queues = instance.queues
+        lateness = [
+            (job.weight, t + 1 - job.deadline)
+            for (i, j), t in completion_steps.items()
+            if (job := queues[i][j]).deadline is not None
+        ]
+        if self.mode == "max-lateness":
+            return max((late for _, late in lateness), default=0)
+        tardy = [(w, late) for w, late in lateness if late > 0]
+        if self.mode == "misses":
+            return len(tardy)
+        return product_sum(tardy)
 
     def lower_bound(self, instance: Instance):
         """Earliest-completion certificates, aggregated per mode.

@@ -31,7 +31,7 @@ from time import perf_counter
 from ..core.checkpoint import KernelCheckpoint, checkpoint_run
 from ..core.instance import Instance
 from ..core.job import Job
-from ..core.kernel import ObjectiveRecorder, StepObserver, run_kernel
+from ..core.kernel import CompletionRecorder, StepObserver, run_kernel
 from ..exceptions import SequencingError
 from .base import Sequencer, register_sequencer
 
@@ -397,31 +397,33 @@ class LocalSearchSequencer(Sequencer):
 
         cand_key = self._queues_key(candidate.queues)
         rt = VectorRuntime(candidate, tol=getattr(self.backend, "tol", 1e-9))
-        objrec = ObjectiveRecorder(self.objective, candidate)
+        completions = CompletionRecorder()
         point = self._best_resume_point(cand_key)
         if point is not None:
             rt.restore(point.state)
             payload = point.observers[0] if point.observers else None
             if payload is not None:
-                objrec.restore_state(payload)
+                completions.restore_state(payload)
             self._counts["prefix_hits"] += 1
-        observers: tuple = (objrec,)
+        observers: tuple = (completions,)
         cap = None
         if capture:
-            cap = _PrefixCapture(rt, (objrec,))
-            observers = (objrec, cap)
+            cap = _PrefixCapture(rt, (completions,))
+            observers = (completions, cap)
         if self._step_limit is None:
             self._step_limit = default_step_limit(candidate)
         max_steps = (
             self.max_steps if self.max_steps is not None else self._step_limit
         )
-        run_kernel(
+        makespan = run_kernel(
             rt, self.policy, observers,
             max_steps=max_steps, label="sequencer candidate",
         )
         if cap is not None:
             self._promoted = (cand_key, cap.points)
-        return objrec.value
+        return self.objective.value_from_completions(
+            candidate, completions.completion_steps, makespan
+        )
 
     def _evaluate_prefix(self, candidate: Instance):
         """Resumable (but snapshot-free) candidate evaluation."""

@@ -4,8 +4,9 @@ The acceptance bar for ``run_batch`` /
 :class:`~repro.backends.batched.BatchVectorRuntime`: every lane of a
 batched run must match a standalone
 :class:`~repro.backends.vector.VectorBackend` run of the same instance
-within 1e-9 (integer makespans, so equality; objective values within
-``RTOL``), and agree with the exact Fraction backend's makespans --
+exactly (makespans and objective values are both functions of integer
+completion steps, so they compare with ``==``), and agree with the
+exact Fraction backend's makespans --
 across ``k in {1, 2, 3}``, the arrival axis, weighted and
 deadline-carrying jobs, ragged batches (mixed ``m``, ``n``, ``k``,
 makespans), and the degenerate ``B = 1`` batch.
@@ -15,6 +16,7 @@ import pytest
 
 from repro.algorithms import available_policies, get_policy
 from repro.backends import ExactBackend, VectorBackend, run_batch
+from repro.objectives import available_objectives
 from repro.generators import (
     bag_instance,
     general_size_instance,
@@ -26,8 +28,6 @@ from repro.generators import (
     with_resources,
     with_weights,
 )
-
-RTOL = 1e-9
 
 OBJECTIVES = ("makespan", "weighted-flow", "tardiness")
 
@@ -49,7 +49,7 @@ def assert_lanes_match_vector(instances, policy, *, objectives=OBJECTIVES):
         for name in objectives:
             got = result.objective_values[name][b]
             want = ref.objective_values[name]
-            assert got == pytest.approx(want, rel=RTOL, abs=RTOL), (
+            assert got == want and type(got) is type(want), (
                 policy.name,
                 name,
                 b,
@@ -161,6 +161,43 @@ class TestMultiResource:
         ]
         assert_lanes_match_vector(insts, get_policy("greedy-balance"))
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_proportional_share_batches(self, k, seed):
+        """The batched k>1 proportional share equals its vector runs."""
+        insts = [
+            with_weights(
+                multi_resource_instance(3, 4, k, seed=seed + j),
+                seed=60 + seed + j,
+            )
+            for j in range(4)
+        ]
+        result = assert_lanes_match_vector(
+            insts,
+            get_policy("proportional-share"),
+            objectives=("makespan", "weighted-flow"),
+        )
+        assert result.batched_policy
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_proportional_share_mixed_k_batch(self, seed):
+        """A k=1 lane in a k>1 batch takes the scalar proportional rule.
+
+        The k=1 lane has general job sizes: on unit sizes the k>1 rule
+        happens to coincide with the scalar one.
+        """
+        insts = [
+            with_weights(general_size_instance(3, 4, seed=seed), seed=seed),
+            with_weights(multi_resource_instance(4, 3, 2, seed=seed), seed=seed),
+            multi_resource_instance(2, 5, 3, seed=seed),
+        ]
+        result = assert_lanes_match_vector(
+            insts,
+            get_policy("proportional-share"),
+            objectives=("makespan", "weighted-flow"),
+        )
+        assert result.batched_policy
+
     @pytest.mark.parametrize("seed", range(3))
     def test_arrival_multires_batch(self, seed):
         insts = [
@@ -196,6 +233,26 @@ class TestRaggedBatches:
         # many shared steps as its slowest lane.
         assert result.steps == int(result.makespans.max())
         assert result.lane_steps == int(result.makespans.sum())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_compaction_keeps_all_objectives(self, seed):
+        """Lane completions survive compaction for every objective."""
+
+        def annotated(inst, s):
+            weighted = with_weights(inst, profile="skewed", seed=s)
+            return with_deadlines(weighted, profile="mixed", seed=s)
+
+        insts = [
+            annotated(uniform_instance(3, 2, seed=seed + j), seed + j)
+            for j in range(5)
+        ]
+        insts.append(annotated(uniform_instance(3, 12, seed=seed), seed))
+        result = assert_lanes_match_vector(
+            insts,
+            get_policy("greedy-balance"),
+            objectives=tuple(available_objectives()),
+        )
+        assert result.compactions >= 1
 
     def test_single_lane_batch(self):
         """B=1 degenerates to one vector run."""

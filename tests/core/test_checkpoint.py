@@ -22,7 +22,6 @@ from repro.core import (
     Instance,
     Job,
     KernelCheckpoint,
-    ObjectiveRecorder,
     ShareRecorder,
     checkpoint_run,
     restore_runtime,
@@ -46,16 +45,20 @@ def _runtime(kind: str, instance: Instance):
 
 
 def _observers(instance: Instance):
-    return [
-        CompletionRecorder(),
-        ObjectiveRecorder(get_objective("weighted-flow"), instance),
-    ]
+    return [CompletionRecorder()]
+
+
+def _outcome(instance, makespan, obs):
+    """Makespan, completion steps, and the weighted-flow value of a run."""
+    steps = obs[0].completion_steps
+    flow = get_objective("weighted-flow")
+    return makespan, steps, flow.value_from_completions(instance, steps, makespan)
 
 
 def _full_run(instance, policy, kind):
     obs = _observers(instance)
     makespan = run_kernel(_runtime(kind, instance), policy, obs)
-    return makespan, obs[0].completion_steps, obs[1].value
+    return _outcome(instance, makespan, obs)
 
 
 def _resumed_run(instance, policy, kind, cut, *, via_json=True):
@@ -74,7 +77,7 @@ def _resumed_run(instance, policy, kind, cut, *, via_json=True):
     if suspended is not None:
         # the stop predicate never fired: the run had already finished
         assert makespan == suspended
-    return makespan, fresh[0].completion_steps, fresh[1].value
+    return _outcome(instance, makespan, fresh)
 
 
 @pytest.fixture(scope="module")

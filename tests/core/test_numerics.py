@@ -16,6 +16,7 @@ from repro.core.numerics import (
     frac_sum,
     is_share,
     parse_frac,
+    product_sum,
     quantize,
     to_frac,
     to_frac_seq,
@@ -87,6 +88,26 @@ class TestCeilFloorSum:
     @given(st.lists(st.fractions(min_value=0, max_value=1), max_size=10))
     def test_sum_matches_builtin(self, values):
         assert frac_sum(values) == sum(values, Fraction(0))
+
+
+class TestProductSum:
+    def test_empty_is_zero(self):
+        assert product_sum([]) == 0
+        assert isinstance(product_sum([]), Fraction)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(max_denominator=97) | st.integers(-50, 50),
+                st.fractions(max_denominator=97) | st.integers(-50, 50),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_frac_sum_of_products(self, pairs):
+        got = product_sum(pairs)
+        assert isinstance(got, Fraction)
+        assert got == frac_sum(a * b for a, b in pairs)
 
 
 class TestGrid:

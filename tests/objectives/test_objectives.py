@@ -8,8 +8,8 @@ Pinned here:
   consistency triple);
 * weighted flow with unit weights equals the total completion time on
   static instances;
-* online accumulators agree with the independent closed-form
-  evaluators in ``repro.analysis.metrics``;
+* each objective's completion-step reduction agrees with the
+  independent closed-form evaluators in ``repro.analysis.metrics``;
 * registry and ratio-guard semantics.
 """
 
@@ -61,6 +61,25 @@ class TestRegistry:
     def test_get_objective_unknown(self):
         with pytest.raises(KeyError, match="unknown objective"):
             get_objective("does-not-exist")
+
+    def test_unknown_objective_is_typed(self):
+        """One typed error (still a KeyError) from every entry point."""
+        from repro.backends import BatchRunner, VectorBackend
+        from repro.exceptions import ReproError, UnknownObjectiveError
+
+        inst = uniform_instance(2, 2, seed=0)
+        entry_points = (
+            lambda: get_objective("nope"),
+            lambda: BatchRunner(objectives=("nope",)),
+            lambda: VectorBackend().run(inst, "greedy-balance", objectives=("nope",)),
+        )
+        for call in entry_points:
+            with pytest.raises(UnknownObjectiveError) as info:
+                call()
+            assert isinstance(info.value, ReproError)
+            assert isinstance(info.value, KeyError)
+            assert str(info.value).startswith("unknown objective 'nope'")
+            assert "weighted-flow" in str(info.value)
 
     def test_tardiness_mode_validation(self):
         with pytest.raises(ValueError, match="unknown tardiness mode"):
@@ -176,7 +195,8 @@ class TestFlowInvariants:
 
 
 class TestOnlineVsIndependent:
-    """The online accumulators match the closed-form evaluators."""
+    """Each objective's completion-step reduction matches the
+    closed-form evaluators."""
 
     @pytest.mark.parametrize("seed", range(15))
     def test_all_objectives_agree_with_analysis(self, seed):
@@ -199,19 +219,19 @@ class TestOnlineVsIndependent:
             deadline_misses(schedule)
         )
 
-    def test_online_observer_matches_value(self):
-        from repro.core import ExactRuntime, run_kernel
+    def test_kernel_completions_match_value(self):
+        from repro.core import CompletionRecorder, ExactRuntime, run_kernel
 
         inst = with_deadlines(uniform_instance(3, 3, seed=9), profile="tight", seed=9)
         policy = get_policy("edf-waterfill")
-        recorders = [
-            get_objective(name).online_observer(inst)
-            for name in available_objectives()
-        ]
-        run_kernel(ExactRuntime(inst), policy, recorders)
+        completions = CompletionRecorder()
+        makespan = run_kernel(ExactRuntime(inst), policy, [completions])
         schedule = policy.run(inst)
-        for recorder in recorders:
-            assert recorder.value == recorder.objective.value(schedule)
+        for name in available_objectives():
+            objective = get_objective(name)
+            assert objective.value_from_completions(
+                inst, completions.completion_steps, makespan
+            ) == objective.value(schedule)
 
 
 class TestRatioGuard:
