@@ -405,45 +405,16 @@ def water_fill_array_batch(
     zeros never perturb a float cumsum.
 
     Single-resource batches (``state.num_resources == 1``) run the
-    fully vectorized prefix-sum fill.  Multi-resource batches fall
-    back to the per-lane depletion-rounds core
-    (:func:`water_fill_array_multi`'s array kernel) -- still one
-    shared grant rule, but looped over lanes -- and return a
-    ``(B, k, m)`` share tensor.
+    fully vectorized prefix-sum fill.  Multi-resource batches run the
+    batched depletion rounds (:func:`_fill_arrays_batch_multi`, the
+    grant rule of :func:`water_fill_array_multi`) and return a
+    ``(B, k, m)`` share tensor; single-resource lanes of a mixed batch
+    keep the scalar rule.
     """
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
-    if state.num_resources != 1:
-        return _water_fill_batch_multi(
-            state, order, eligible=eligible, capacity=capacity
-        )
-    useful = np.minimum(state.remaining, state.active_requirements)
-    if eligible is not None:
-        useful = np.where(eligible, useful, 0.0)
-    u = np.take_along_axis(useful, order, axis=1)
-    taken_before = np.cumsum(u, axis=1) - u
-    grants = np.clip(capacity - taken_before, 0.0, u)
-    shares = np.zeros_like(useful)
-    np.put_along_axis(shares, order, grants, axis=1)
-    return shares
-
-
-def _water_fill_batch_multi(
-    state: "BatchVectorState",
-    order: np.ndarray,
-    *,
-    eligible: np.ndarray | None,
-    capacity: float,
-) -> np.ndarray:
-    """``k > 1`` path of :func:`water_fill_array_batch`: one
-    ``(B, k, m)`` array program over all lanes.
-
-    Dispatches to :func:`_fill_arrays_batch_multi` for the
-    multi-resource depletion rounds and overwrites single-resource
-    lanes of a mixed batch with the scalar prefix-sum rule (exactly as
-    their standalone vector run applies it), so each lane follows its
-    native grant rule.
-    """
+    if state.num_resources == 1:
+        return _prefix_fill_batch(state, order, eligible, capacity)
     shares = _fill_arrays_batch_multi(
         state.remaining,
         state.active_requirements,
@@ -454,18 +425,32 @@ def _water_fill_batch_multi(
     )
     scalar = state.lane_num_resources == 1
     if scalar.any():
-        # Single-resource lanes: the scalar prefix-sum rule (interleaved
-        # exact zeros keep the cumsum bit-identical to a per-lane fill).
-        useful = np.minimum(state.remaining, state.active_requirements)
-        if eligible is not None:
-            useful = np.where(eligible, useful, 0.0)
-        u = np.take_along_axis(useful, order, axis=1)
-        taken_before = np.cumsum(u, axis=1) - u
-        grants = np.clip(capacity - taken_before, 0.0, u)
-        rows = np.zeros_like(useful)
-        np.put_along_axis(rows, order, grants, axis=1)
+        # Single-resource lanes of a mixed batch follow the scalar
+        # prefix-sum rule, exactly as their standalone vector run does.
+        rows = _prefix_fill_batch(state, order, eligible, capacity)
         shares[scalar] = 0.0
         shares[scalar, 0, :] = rows[scalar]
+    return shares
+
+
+def _prefix_fill_batch(state, order, eligible, capacity) -> np.ndarray:
+    """The single-resource prefix-sum grant rule over ``(B, m)`` lanes.
+
+    Gathers and scatters through the flat indices ``order + lane * m``
+    of the raveled lanes, so each lane's cumsum sees exactly the
+    ordered values of a per-lane :func:`water_fill_array` (interleaved
+    exact zeros never perturb it).
+    """
+    useful = np.minimum(state.remaining, state.active_requirements)
+    if eligible is not None:
+        useful = np.where(eligible, useful, 0.0)
+    B, m = useful.shape
+    at = order + np.arange(0, B * m, m)[:, None]
+    u = useful.take(at)
+    taken_before = np.cumsum(u, axis=1) - u
+    grants = np.clip(capacity - taken_before, 0.0, u)
+    shares = np.zeros_like(useful)
+    shares.put(at, grants)
     return shares
 
 
@@ -500,9 +485,11 @@ def _fill_arrays_batch_multi(
     if eligible is not None:
         fraction_cap = np.where(eligible, fraction_cap, 0.0)
     # Everything below runs in order-position space; one scatter at the
-    # end maps grants back to processor indices.
-    fc_ord = np.take_along_axis(fraction_cap, order, axis=1)  # (B, m)
-    req_ord = np.take_along_axis(req_matrix, order[:, None, :], axis=2)
+    # end maps grants back to processor indices.  Flat indices into the
+    # raveled (B, m) and (B, k, m) arrays: order + (lane * k + l) * m.
+    fc_ord = fraction_cap.take(order + np.arange(0, B * m, m)[:, None])
+    at = order[:, None, :] + np.arange(0, B * k * m, m).reshape(B, k, 1)
+    req_ord = req_matrix.take(at)  # (B, k, m)
     granted_ord = np.zeros((B, k, m), dtype=np.float64)
     left = np.full((B, k), capacity, dtype=np.float64)
     active = fc_ord > 0.0  # (B, m) positions still pending
@@ -560,10 +547,7 @@ def _fill_arrays_batch_multi(
         ).any(axis=1)
         active[sel] &= ~blocked
     shares = np.zeros((B, k, m), dtype=np.float64)
-    np.put_along_axis(
-        shares, np.broadcast_to(order[:, None, :], (B, k, m)), granted_ord,
-        axis=2,
-    )
+    shares.put(at, granted_ord)
     return shares
 
 

@@ -11,17 +11,21 @@ and advances all of them with one shared array program per step:
 
 * batched water-filling (:func:`repro.algorithms.base.water_fill_array_batch`)
   turns each policy's priority order into per-lane grants with one
-  ``take_along_axis`` + ``cumsum`` + ``clip``;
-* completion tests, release unmasking, and successor loading are
-  batched boolean masks and fancy-indexed gathers;
+  flat-index gather (``order + lane * m``) + ``cumsum`` + ``clip``
+  and one scatter back;
+* completion tests and release unmasking are batched boolean masks;
+  successor loading is one flat gather and scatter per field from the
+  sentinel-padded job tables (:func:`~repro.backends.vector.job_tables`),
+  so a drained queue needs no branch;
 * every lane terminates early -- a finished lane's processors hold
   zero remaining work, so it receives all-zero shares and rides along
   masked; once the live fraction of a large batch drops below the
   compaction threshold (default < 50%), the state *compacts* to the
   surviving lanes so long-tail ragged batches stop paying for dead
   ones (``BatchRunResult.compactions`` counts the shrinks);
-* each lane records its integer completion steps, and every objective
-  is evaluated once per lane after the run through
+* completion steps land in one ``(B, m, n + 1)`` array with one
+  fancy-index store per step; each lane's record becomes a dict once,
+  after the run, and every objective is evaluated once per lane through
   :meth:`~repro.objectives.base.Objective.value_from_completions`, so
   makespan / weighted flow / tardiness come out as length-``B``
   vectors equal to ``B`` separate
@@ -32,8 +36,8 @@ Policies advertise a batched priority path via
 family implements it); policies with only a single-lane
 ``shares_array`` are stepped lane by lane through a
 :class:`_LaneView` adapter -- correct, just without the batched
-speedup.  Multi-resource (``k > 1``) lanes likewise fall back to the
-per-lane depletion-rounds fill inside the batched step.
+speedup.  Multi-resource (``k > 1``) batches run the batched
+depletion-rounds fill inside the same step.
 
 Bit-consistency: padded processors carry zero jobs, zero remaining
 work, and zero requirements, so they contribute exact ``0.0`` terms to
@@ -58,7 +62,9 @@ from ..exceptions import (
     SimulationLimitError,
     VectorizationUnsupportedError,
 )
+from ..telemetry import get_session
 from .base import resolve_objectives
+from .vector import JobTableState, job_tables
 
 __all__ = [
     "BatchVectorState",
@@ -68,7 +74,7 @@ __all__ = [
 ]
 
 
-class BatchVectorState:
+class BatchVectorState(JobTableState):
     """Float64 view of ``B`` execution states for ``Policy.shares_batch``.
 
     The batch analogue of :class:`~repro.backends.vector.VectorState`:
@@ -81,7 +87,8 @@ class BatchVectorState:
     zero remaining work, zero requirements, weight 0, deadline
     ``inf``, and release time 0 -- it is never pending, never active,
     and contributes exact zeros to every reduction.  A padded resource
-    row is all zeros.
+    row is all zeros.  The job tables end every queue in the sentinel
+    column of :func:`~repro.backends.vector.job_tables`.
 
     Attributes:
         instances: the originating instances, in lane order.
@@ -129,147 +136,18 @@ class BatchVectorState:
     def __init__(self, instances: Sequence[Instance]) -> None:
         if not instances:
             raise BackendError("batch state needs at least one instance")
-        B = len(instances)
-        m = max(inst.num_processors for inst in instances)
-        nmax = max(inst.max_jobs for inst in instances)
-        k = max(inst.num_resources for inst in instances)
         self.instances = tuple(instances)
         self.t = 0
-        self.num_lanes = B
-        self.num_resources = k
+        self.num_lanes = len(instances)
+        self.num_jobs, self._release, jobs, self._reqk = job_tables(self.instances)
+        self.num_resources = max(inst.num_resources for inst in instances)
         self.lane_num_processors = np.array(
             [inst.num_processors for inst in instances], dtype=np.int64
         )
         self.lane_num_resources = np.array(
             [inst.num_resources for inst in instances], dtype=np.int64
         )
-        self.num_jobs = np.zeros((B, m), dtype=np.int64)
-        self.done = np.zeros((B, m), dtype=np.int64)
-        self._req = np.zeros((B, m, nmax), dtype=np.float64)
-        self._work = np.zeros((B, m, nmax), dtype=np.float64)
-        self._wgt = np.zeros((B, m, nmax), dtype=np.float64)
-        self._dl = np.full((B, m, nmax), np.inf, dtype=np.float64)
-        self._release = np.zeros((B, m), dtype=np.int64)
-        self._reqk = (
-            None if k == 1 else np.zeros((B, k, m, nmax), dtype=np.float64)
-        )
-        # The same job objects -- and, queue by queue, the same *queue
-        # tuples* -- recur across lanes (neighborhood batches permute
-        # one bag, and each move touches at most two queues), so float
-        # conversions are memoized as rows of a shared table, row
-        # indices are memoized per queue, and slots are filled with a
-        # handful of fancy-index scatters instead of five scalar
-        # writes per job.
-        rows: dict[int, int] = {}
-        table: list[tuple[float, float, float, float]] = []
-        table_k: list[tuple[float, ...]] = []
-        q_rows: dict[tuple, np.ndarray] = {}
-        entry_b: list[int] = []
-        entry_i: list[int] = []
-        entry_n: list[int] = []
-        r_parts: list[np.ndarray] = []
-        for b, inst in enumerate(instances):
-            releases = inst.releases
-            for i, queue in enumerate(inst.queues):
-                n = len(queue)
-                self.num_jobs[b, i] = n
-                self._release[b, i] = releases[i]
-                if not n:  # pragma: no cover - queues are never empty
-                    continue
-                ri_q = q_rows.get(queue)
-                if ri_q is None:
-                    idxs = []
-                    for job in queue:
-                        row = rows.get(id(job))
-                        if row is None:
-                            row = len(table)
-                            rows[id(job)] = row
-                            table.append(
-                                (
-                                    float(job.requirement),
-                                    float(job.work),
-                                    float(job.weight),
-                                    (
-                                        np.inf
-                                        if job.deadline is None
-                                        else float(job.deadline)
-                                    ),
-                                )
-                            )
-                            if self._reqk is not None:
-                                reqs = tuple(
-                                    float(r) for r in job.requirements
-                                )
-                                table_k.append(
-                                    reqs + (0.0,) * (k - len(reqs))
-                                )
-                        idxs.append(row)
-                    ri_q = np.array(idxs, dtype=np.intp)
-                    q_rows[queue] = ri_q
-                entry_b.append(b)
-                entry_i.append(i)
-                entry_n.append(n)
-                r_parts.append(ri_q)
-        if r_parts:
-            tab = np.array(table, dtype=np.float64)  # (J, 4)
-            counts = np.array(entry_n, dtype=np.intp)
-            bi = np.repeat(np.array(entry_b, dtype=np.intp), counts)
-            ii = np.repeat(np.array(entry_i, dtype=np.intp), counts)
-            total = int(counts.sum())
-            starts = np.cumsum(counts) - counts
-            ji = np.arange(total, dtype=np.intp) - np.repeat(starts, counts)
-            ri = np.concatenate(r_parts)
-            self._req[bi, ii, ji] = tab[ri, 0]
-            self._work[bi, ii, ji] = tab[ri, 1]
-            self._wgt[bi, ii, ji] = tab[ri, 2]
-            self._dl[bi, ii, ji] = tab[ri, 3]
-            if self._reqk is not None:
-                tab_k = np.array(table_k, dtype=np.float64)  # (J, k)
-                self._reqk[bi, :, ii, ji] = tab_k[ri]
-        self._released = self._release <= 0
-        self._all_released = bool(self._released.all())
-        self.remaining = np.where(self._released, self._work[:, :, 0], 0.0)
-        self.active_requirements = np.where(
-            self._released, self._req[:, :, 0], 0.0
-        )
-        self.active_weights = np.where(self._released, self._wgt[:, :, 0], 0.0)
-        self.active_deadlines = np.where(
-            self._released, self._dl[:, :, 0], np.inf
-        )
-        self.resource_spent = np.zeros((B, k), dtype=np.float64)
-        if self._reqk is None:
-            self.active_req_matrix = self.active_requirements.reshape(B, 1, m)
-        else:
-            self.active_req_matrix = np.where(
-                self._released[:, None, :], self._reqk[:, :, :, 0], 0.0
-            )
-
-    @property
-    def num_processors(self) -> int:
-        """The padded processor count ``m``."""
-        return int(self.num_jobs.shape[1])
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        """``(B, m)`` mask of released processors with unfinished jobs."""
-        if self._all_released:
-            return self.done < self.num_jobs
-        return self._released & (self.done < self.num_jobs)
-
-    @property
-    def pending_mask(self) -> np.ndarray:
-        """``(B, m)`` mask of processors with unfinished jobs."""
-        return self.done < self.num_jobs
-
-    @property
-    def released_mask(self) -> np.ndarray:
-        """``(B, m)`` mask of processors whose release time has arrived."""
-        return self._released.copy()
-
-    @property
-    def jobs_remaining(self) -> np.ndarray:
-        """``(B, m)`` remaining job counts."""
-        return self.num_jobs - self.done
+        self._start_views(jobs)
 
     @property
     def lane_done(self) -> np.ndarray:
@@ -277,57 +155,11 @@ class BatchVectorState:
         return ~(self.done < self.num_jobs).any(axis=1)
 
     @property
-    def all_done(self) -> bool:
-        """True once every lane has finished."""
-        return bool((self.done >= self.num_jobs).all())
-
-    @property
     def lane_waiting(self) -> np.ndarray:
         """``(B,)`` mask of lanes with unreleased pending processors."""
         if self._all_released:
             return np.zeros(self.num_lanes, dtype=bool)
         return (~self._released & (self.num_jobs > 0)).any(axis=1)
-
-    def begin_step(self) -> None:
-        """Unmask processors whose release time has arrived (all lanes)."""
-        if self._all_released:
-            return
-        newly = ~self._released & (self._release <= self.t)
-        if newly.any():
-            bl, bi = np.nonzero(newly)
-            d = self.done[bl, bi]
-            self.remaining[bl, bi] = self._work[bl, bi, d]
-            self.active_requirements[bl, bi] = self._req[bl, bi, d]
-            self.active_weights[bl, bi] = self._wgt[bl, bi, d]
-            self.active_deadlines[bl, bi] = self._dl[bl, bi, d]
-            if self._reqk is not None:
-                self.active_req_matrix[bl, :, bi] = self._reqk[bl, :, bi, d]
-            self._released |= newly
-            self._all_released = bool(self._released.all())
-
-    def advance(self, lanes: np.ndarray, procs: np.ndarray) -> None:
-        """Complete the active jobs at the ``(lane, processor)`` pairs.
-
-        Loads the successor job (or zeros the slot) on each, exactly as
-        :meth:`~repro.backends.vector.VectorState.advance` does per
-        lane.
-        """
-        self.done[lanes, procs] += 1
-        d = self.done[lanes, procs]
-        has_next = d < self.num_jobs[lanes, procs]
-        hl, hi, hd = lanes[has_next], procs[has_next], d[has_next]
-        self.remaining[hl, hi] = self._work[hl, hi, hd]
-        self.active_requirements[hl, hi] = self._req[hl, hi, hd]
-        self.active_weights[hl, hi] = self._wgt[hl, hi, hd]
-        self.active_deadlines[hl, hi] = self._dl[hl, hi, hd]
-        el, ei = lanes[~has_next], procs[~has_next]
-        self.remaining[el, ei] = 0.0
-        self.active_requirements[el, ei] = 0.0
-        self.active_weights[el, ei] = 0.0
-        self.active_deadlines[el, ei] = np.inf
-        if self._reqk is not None:
-            self.active_req_matrix[hl, :, hi] = self._reqk[hl, :, hi, hd]
-            self.active_req_matrix[el, :, ei] = 0.0
 
     def compact(self, keep: np.ndarray) -> None:
         """Shrink the batch to the lanes selected by the *keep* mask.
@@ -548,7 +380,12 @@ class BatchVectorRuntime:
                 "neither shares_batch nor shares_array; use backend='exact'"
             )
         self.policy = policy
+        timed = get_session() is not None
+        start = perf_counter() if timed else 0.0
         self.state = BatchVectorState(instances)
+        #: State-construction seconds, noted on the ``batched.run`` span
+        #: (measured only under a telemetry session).
+        self.build_s = perf_counter() - start if timed else 0.0
         self.tol = float(tol)
         self.batched_policy = bool(getattr(policy, "supports_batch", False))
         if compact_threshold is not None and not (
@@ -613,14 +450,16 @@ class BatchVectorRuntime:
                 f"batch of {state.num_lanes} lanes, {m} processors and "
                 f"{k} resource(s) at step {state.t} (expected {expected})"
             )
-        if (shares < -tol).any() or (shares > 1.0 + tol).any():
+        # Written as "not inside" so NaN fails the test too.
+        lo, hi = shares.min(), shares.max()
+        if not (lo >= -tol and hi <= 1.0 + tol):
             raise InfeasibleAssignmentError(
                 f"step {state.t}: share outside [0, 1] in batch "
-                f"(min={shares.min()}, max={shares.max()})"
+                f"(min={lo}, max={hi})"
             )
         totals = shares.sum(axis=-1)
         worst = float(totals.max())
-        if worst > 1.0 + tol:
+        if not worst <= 1.0 + tol:
             lane = int(np.argmax(totals.reshape(state.num_lanes, -1).max(axis=1)))
             raise InfeasibleAssignmentError(
                 f"step {state.t}: resource overused in lane {lane} "
@@ -629,35 +468,29 @@ class BatchVectorRuntime:
 
     def _apply(
         self, shares: np.ndarray
-    ) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every lane one step.
 
-        Returns the completed ``(lane, processor, job)`` triples and
-        the per-lane progress mask.
+        Returns the completed jobs' flat ``lane * m + i`` slots, their
+        job indices, and each lane's total work this step.
         """
         state = self.state
-        tol = self.tol
         had_work = state.active_mask
         if state.num_resources == 1:
-            speed = np.minimum(shares, state.active_requirements)
-            work = np.minimum(speed, state.remaining)
+            work = np.minimum(shares, state.active_requirements)
+            np.minimum(work, state.remaining, out=work)
             np.maximum(work, 0.0, out=work)
             state.remaining -= work
-            state.resource_spent[:, 0] += work.sum(axis=1)
+            spent = work.sum(axis=1)
+            state.resource_spent[:, 0] += spent
         else:
             work = self._multi_work(shares)
             state.remaining -= work
-        finished = had_work & (state.remaining <= tol)
-        completed: list[tuple[int, int, int]] = []
-        bl, bi = np.nonzero(finished)
-        if bl.size:
-            completed = list(
-                zip(bl.tolist(), bi.tolist(), state.done[bl, bi].tolist())
-            )
-            state.advance(bl, bi)
-        progressed = finished.any(axis=1) | (work.sum(axis=1) > tol)
+            spent = work.sum(axis=1)
+        slots = np.flatnonzero(had_work & (state.remaining <= self.tol))
+        jobs = state.advance(slots) if slots.size else slots
         state.t += 1
-        return completed, progressed
+        return slots, jobs, spent
 
     def _multi_work(self, shares: np.ndarray) -> np.ndarray:
         """Per-processor work under a ``(B, k, m)`` share tensor.
@@ -726,11 +559,11 @@ class BatchVectorRuntime:
                 invalid share row for any lane.
         """
         from ..core.simulator import default_step_limit  # lazy: no cycle
-        from ..telemetry import get_session
 
         objectives = resolve_objectives(tuple(objectives))
         state = self.state
         B = state.num_lanes
+        m = state.num_processors
         instances = state.instances
         if max_steps is None:
             limits = np.array(
@@ -739,8 +572,13 @@ class BatchVectorRuntime:
             )
         else:
             limits = np.full(B, int(max_steps), dtype=np.int64)
-        completions: list[dict] = [{} for _ in range(B)]
+        # finish[b, i, j]: 0-based completion step of job j on queue i
+        # of original lane b.
+        finish = (
+            np.zeros(state._work.shape, dtype=np.int64) if objectives else None
+        )
         makespans = np.zeros(B, dtype=np.int64)
+        jobs_left = state.num_jobs.sum(axis=1)
         stalled = np.zeros(B, dtype=np.int64)
         # Results (makespans, completion steps) are kept against
         # *original* lane indices; the state may compact to its
@@ -749,75 +587,97 @@ class BatchVectorRuntime:
         origin = np.arange(B, dtype=np.int64)
         threshold = self.compact_threshold
         compactions = 0
-        live = ~state.lane_done
+        live = jobs_left > 0
+        num_live = int(live.sum())
+        # No live lane can exceed its step limit before this step.
+        limit_floor = int(limits.min())
+        tol = self.tol
         t0 = perf_counter()
         session = get_session()
         tracer = session.tracer if session is not None else None
         trace_steps = tracer is not None and tracer.enabled
         steps = 0
-        while live.any():
-            over = live & (state.t >= limits)
-            if over.any():
-                lane = int(np.argmax(over))
-                raise SimulationLimitError(
-                    f"batched run: lane {int(origin[lane])} did not finish "
-                    f"within {int(limits[lane])} steps "
-                    f"(done={state.done[lane].tolist()})"
-                )
-            ts = perf_counter() if trace_steps else 0.0
+        while num_live:
             t = state.t
+            if t >= limit_floor:
+                over = live & (t >= limits)
+                if over.any():
+                    lane = int(np.argmax(over))
+                    raise SimulationLimitError(
+                        f"batched run: lane {int(origin[lane])} did not finish "
+                        f"within {int(limits[lane])} steps "
+                        f"(done={state.done[lane].tolist()})"
+                    )
+                limit_floor = int(limits[live].min())
+            ts = perf_counter() if trace_steps else 0.0
             state.begin_step()
             shares = self._query()
             self._check(shares)
-            completed, progressed = self._apply(shares)
+            slots, jobs, spent = self._apply(shares)
             steps += 1
-            if objectives:
-                for b, i, j in completed:
-                    completions[origin[b]][(i, j)] = t
-            lane_done = state.lane_done
-            newly_done = live & lane_done
-            if newly_done.any():
-                makespans[origin[newly_done]] = t + 1
-                live &= ~lane_done
-            waiting = state.lane_waiting
-            stalled = np.where(
-                ~live | progressed | waiting, 0, stalled + 1
-            )
-            if (stalled >= stall_limit).any():
-                lane = int(np.argmax(stalled >= stall_limit))
-                raise SimulationLimitError(
-                    f"batched run: lane {int(origin[lane])} made no "
-                    f"progress for {int(stalled[lane])} consecutive steps "
-                    f"(t={state.t}); aborting"
-                )
+            stuck = live & (spent <= tol)
+            if slots.size:
+                lanes, procs = np.divmod(slots, m)
+                if finish is not None:
+                    finish[origin[lanes], procs, jobs] = t
+                jobs_left -= np.bincount(lanes, minlength=state.num_lanes)
+                newly_done = live & (jobs_left == 0)
+                if newly_done.any():
+                    makespans[origin[newly_done]] = t + 1
+                    live &= ~newly_done
+                    num_live = int(live.sum())
+                stuck[lanes] = False  # a completion is progress
+            if stuck.any():
+                if not state._all_released:
+                    stuck &= ~state.lane_waiting
+                stalled = np.where(stuck, stalled + 1, 0)
+                if (stalled >= stall_limit).any():
+                    lane = int(np.argmax(stalled >= stall_limit))
+                    raise SimulationLimitError(
+                        f"batched run: lane {int(origin[lane])} made no "
+                        f"progress for {int(stalled[lane])} consecutive steps "
+                        f"(t={state.t}); aborting"
+                    )
+            else:
+                stalled.fill(0)
             if trace_steps:
                 tracer.complete(
                     "batched.step",
                     ts,
                     perf_counter() - ts,
                     t=t,
-                    live=int(live.sum()),
-                    completed=len(completed),
+                    live=num_live,
+                    completed=int(slots.size),
                 )
             if (
                 threshold
                 and live.size >= 4
-                and 0 < live.sum() < threshold * live.size
+                and 0 < num_live < threshold * live.size
             ):
                 state.compact(live)
                 origin = origin[live]
                 limits = limits[live]
                 stalled = stalled[live]
+                jobs_left = jobs_left[live]
                 live = np.ones(state.num_lanes, dtype=bool)
                 compactions += 1
-        objective_values = {
-            obj.name: [
-                obj.value_from_completions(inst, done, int(makespan))
-                for inst, done, makespan in zip(instances, completions, makespans)
-            ]
-            for obj in objectives
-        }
-        wall = perf_counter() - t0
+        objectives_start = perf_counter() if session is not None else 0.0
+        objective_values = {obj.name: [] for obj in objectives}
+        if objectives:
+            for b, inst in enumerate(instances):
+                rows = finish[b].tolist()
+                done = {
+                    (i, j): t
+                    for i, queue in enumerate(inst.queues)
+                    for j, t in enumerate(rows[i][: len(queue)])
+                }
+                makespan = int(makespans[b])
+                for obj in objectives:
+                    objective_values[obj.name].append(
+                        obj.value_from_completions(inst, done, makespan)
+                    )
+        end = perf_counter()
+        wall = end - t0
         result = BatchRunResult(
             makespans=makespans,
             objective_values=objective_values,
@@ -829,13 +689,20 @@ class BatchVectorRuntime:
             compactions=compactions,
         )
         if session is not None:
-            self._record_telemetry(session, result, start=t0)
+            self._record_telemetry(
+                session, result, start=t0, objective_s=end - objectives_start
+            )
         return result
 
     def _record_telemetry(
-        self, session, result: BatchRunResult, *, start: float
+        self, session, result: BatchRunResult, *, start: float, objective_s: float
     ) -> None:
-        """Emit the batched-run span and metrics."""
+        """Emit the batched-run span and metrics.
+
+        The span notes where a run's time goes outside its steps:
+        ``build_s`` (state construction, before the run) and
+        ``objective_s`` (the once-per-lane objective reductions).
+        """
         metrics = session.metrics
         metrics.gauge("batch.lanes").set(result.lanes)
         metrics.counter("batched.runs").inc()
@@ -854,6 +721,8 @@ class BatchVectorRuntime:
             m=self.state.num_processors,
             resources=self.state.num_resources,
             batched_policy=result.batched_policy,
+            build_s=self.build_s,
+            objective_s=objective_s,
         )
 
 

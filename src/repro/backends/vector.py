@@ -51,7 +51,121 @@ from .base import Backend, BackendResult, backend_run_span, resolve_objectives
 __all__ = ["VectorState", "VectorRuntime", "VectorBackend"]
 
 
-class VectorState:
+class JobTableState:
+    """Array operations shared by the two float64 states.
+
+    :class:`VectorState` and
+    :class:`~repro.backends.batched.BatchVectorState` hold their jobs
+    in the one table layout of :func:`job_tables` (a single state is
+    the ``B == 1`` case) and keep per-processor arrays shaped like
+    ``num_jobs``: ``(m,)`` for one lane, ``(B, m)`` for a batch,
+    indexed in flat C order (slot ``lane * m + i``).
+    """
+
+    __slots__ = ()
+
+    def _start_views(self, jobs: np.ndarray) -> None:
+        """Give a fresh state its tables, counters and first jobs' active views.
+
+        *jobs* is the requirement / work / weight / deadline block of
+        :func:`job_tables` for this state's lanes.  Processors not
+        released at step 0 stay masked -- the empty job's zeros and
+        ``inf`` deadline -- until :meth:`begin_step` unmasks them.
+        """
+        shape = self.num_jobs.shape
+        lead, m, k = shape[:-1], shape[-1], self.num_resources
+        self._req, self._work, self._wgt, self._dl = jobs
+        released = self._released = self._release <= 0
+        self._all_released = bool(released.all())
+        self.done = np.zeros(shape, dtype=np.int64)
+        self.resource_spent = np.zeros(lead + (k,))
+        # The last column is a sentinel on every queue: the empty job.
+        (
+            self.active_requirements,
+            self.remaining,
+            self.active_weights,
+            self.active_deadlines,
+        ) = np.where(released, jobs[..., 0], jobs[..., -1])
+        self.active_req_matrix = (
+            self.active_requirements.reshape(lead + (1, m))  # k == 1: the same array
+            if self._reqk is None
+            else np.where(released[..., None, :], self._reqk[..., 0], 0.0)
+        )
+
+    def _load_jobs(self, slots: np.ndarray, columns: np.ndarray) -> None:
+        """Load job ``columns[s]`` of each slot into the active views.
+
+        One gather and one scatter per field: a *columns* entry equal
+        to the queue length loads the sentinel's empty job.
+        """
+        width = self._work.shape[-1]
+        at = slots * width + columns
+        self.remaining.put(slots, self._work.take(at))
+        self.active_requirements.put(slots, self._req.take(at))
+        self.active_weights.put(slots, self._wgt.take(at))
+        self.active_deadlines.put(slots, self._dl.take(at))
+        if self._reqk is not None:
+            k, m = self.active_req_matrix.shape[-2:]
+            lane, i = np.divmod(slots, m)
+            rows = (lane * (k * m) + i)[:, None] + np.arange(0, k * m, m)
+            self.active_req_matrix.put(rows, self._reqk.take(rows * width + columns[:, None]))
+
+    @property
+    def num_processors(self) -> int:
+        """``m`` -- the number of (padded) processors."""
+        return int(self.num_jobs.shape[-1])
+
+    @property
+    def active_mask(self) -> np.ndarray:
+        """Mask of released processors with unfinished jobs."""
+        if self._all_released:
+            return self.done < self.num_jobs
+        return self._released & (self.done < self.num_jobs)
+
+    @property
+    def pending_mask(self) -> np.ndarray:
+        """Mask of processors with unfinished jobs.
+
+        Released or not: arrival-aware policies reason about future
+        work too.
+        """
+        return self.done < self.num_jobs
+
+    @property
+    def released_mask(self) -> np.ndarray:
+        """Mask of processors whose release time has arrived."""
+        return self._released.copy()
+
+    @property
+    def jobs_remaining(self) -> np.ndarray:
+        """``n_i(t)`` for every processor, as an int64 array."""
+        return self.num_jobs - self.done
+
+    def begin_step(self) -> None:
+        """Unmask processors whose release time has arrived."""
+        if self._all_released:
+            return
+        newly = ~self._released & (self._release <= self.t)
+        if newly.any():
+            slots = np.flatnonzero(newly)
+            self._load_jobs(slots, self.done.take(slots))
+            self._released |= newly
+            self._all_released = bool(self._released.all())
+
+    def advance(self, slots: np.ndarray) -> np.ndarray:
+        """Complete the active jobs at the flat *slots*.
+
+        Loads each successor job -- the sentinel's zeros on a drained
+        queue -- and returns the completed jobs' indices.
+        """
+        completed = self.done.take(slots)
+        successor = completed + 1
+        self.done.put(slots, successor)
+        self._load_jobs(slots, successor)
+        return completed
+
+
+class VectorState(JobTableState):
     """Float64 view of the execution state for ``Policy.shares_array``.
 
     Mirrors the read API of :class:`~repro.core.state.ExecState` in
@@ -109,86 +223,15 @@ class VectorState:
     )
 
     def __init__(self, instance: Instance) -> None:
-        m = instance.num_processors
-        nmax = instance.max_jobs
-        k = instance.num_resources
+        # Padded per-job tables: past its last job, every queue holds
+        # the sentinel's empty job (see job_tables).
+        num_jobs, release, jobs, reqk = job_tables((instance,))
+        self.num_jobs, self._release = num_jobs[0], release[0]
+        self._reqk = None if reqk is None else reqk[0]
         self.instance = instance
         self.t = 0
-        self.num_resources = k
-        self.num_jobs = np.array(
-            [instance.num_jobs(i) for i in range(m)], dtype=np.int64
-        )
-        self.done = np.zeros(m, dtype=np.int64)
-        # Requirements / work padded to a rectangle; the padding is
-        # never read (done is bounded by num_jobs).
-        self._req = np.zeros((m, nmax), dtype=np.float64)
-        self._work = np.zeros((m, nmax), dtype=np.float64)
-        self._wgt = np.zeros((m, nmax), dtype=np.float64)
-        self._dl = np.full((m, nmax), np.inf, dtype=np.float64)
-        for i, queue in enumerate(instance.queues):
-            for j, job in enumerate(queue):
-                self._req[i, j] = float(job.requirement)
-                self._work[i, j] = float(job.work)
-                self._wgt[i, j] = float(job.weight)
-                if job.deadline is not None:
-                    self._dl[i, j] = float(job.deadline)
-        self._release = np.array(instance.releases, dtype=np.int64)
-        self._released = self._release <= 0
-        self._all_released = bool(self._released.all())
-        # Unreleased processors are masked to zero until they arrive.
-        self.remaining = np.where(self._released, self._work[:, 0], 0.0)
-        self.active_requirements = np.where(
-            self._released, self._req[:, 0], 0.0
-        )
-        self.active_weights = np.where(self._released, self._wgt[:, 0], 0.0)
-        self.active_deadlines = np.where(
-            self._released, self._dl[:, 0], np.inf
-        )
-        self.resource_spent = np.zeros(k, dtype=np.float64)
-        if k == 1:
-            # Degenerate share-matrix view; no separate bookkeeping.
-            self._reqk = None
-            self.active_req_matrix = self.active_requirements.reshape(1, m)
-        else:
-            self._reqk = np.zeros((k, m, nmax), dtype=np.float64)
-            for i, queue in enumerate(instance.queues):
-                for j, job in enumerate(queue):
-                    for lane, r in enumerate(job.requirements):
-                        self._reqk[lane, i, j] = float(r)
-            self.active_req_matrix = np.where(
-                self._released[None, :], self._reqk[:, :, 0], 0.0
-            )
-
-    @property
-    def num_processors(self) -> int:
-        """``m`` -- the number of processors."""
-        return int(self.num_jobs.shape[0])
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        """Boolean mask of released processors with unfinished jobs."""
-        if self._all_released:
-            return self.done < self.num_jobs
-        return self._released & (self.done < self.num_jobs)
-
-    @property
-    def pending_mask(self) -> np.ndarray:
-        """Boolean mask of processors with unfinished jobs.
-
-        Released or not: arrival-aware policies reason about future
-        work too.
-        """
-        return self.done < self.num_jobs
-
-    @property
-    def released_mask(self) -> np.ndarray:
-        """Boolean mask of processors whose release time has arrived."""
-        return self._released.copy()
-
-    @property
-    def jobs_remaining(self) -> np.ndarray:
-        """``n_i(t)`` for every processor, as an int64 array."""
-        return self.num_jobs - self.done
+        self.num_resources = instance.num_resources
+        self._start_views(jobs[:, 0])
 
     @property
     def all_done(self) -> bool:
@@ -202,24 +245,6 @@ class VectorState:
         Its jobs are pending by construction.
         """
         return not self._all_released
-
-    def begin_step(self) -> None:
-        """Unmask processors whose release time has arrived."""
-        if self._all_released:
-            return
-        newly = ~self._released & (self._release <= self.t)
-        if newly.any():
-            idx = np.flatnonzero(newly)
-            self.remaining[idx] = self._work[idx, self.done[idx]]
-            self.active_requirements[idx] = self._req[idx, self.done[idx]]
-            self.active_weights[idx] = self._wgt[idx, self.done[idx]]
-            self.active_deadlines[idx] = self._dl[idx, self.done[idx]]
-            if self._reqk is not None:
-                self.active_req_matrix[:, idx] = self._reqk[
-                    :, idx, self.done[idx]
-                ]
-            self._released |= newly
-            self._all_released = bool(self._released.all())
 
     def capture(self) -> dict:
         """JSON-serializable snapshot of the mutable float64 state.
@@ -288,9 +313,9 @@ class VectorState:
                 f"done counts {done.tolist()} out of range for queues "
                 f"of {nn.tolist()} jobs"
             )
-        j = np.minimum(done, nn - 1)
         idx = np.arange(mm)
-        cap = np.where(done < nn, self._work[idx, j], 0.0)
+        # Column done of a drained queue is its sentinel: capacity 0.
+        cap = self._work[idx, done]
         if (remaining < 0.0).any() or (remaining > cap).any():
             raise CheckpointError(
                 f"remaining work {remaining.tolist()} outside [0, work] "
@@ -302,34 +327,35 @@ class VectorState:
         self.resource_spent[:] = spent
         self._released[:mm] = released
         self._all_released = bool(self._released.all())
-        live = released & (done < nn)
-        self.active_requirements[:mm] = np.where(live, self._req[idx, j], 0.0)
-        self.active_weights[:mm] = np.where(live, self._wgt[idx, j], 0.0)
-        self.active_deadlines[:mm] = np.where(live, self._dl[idx, j], np.inf)
+        self.active_requirements[:mm] = np.where(released, self._req[idx, done], 0.0)
+        self.active_weights[:mm] = np.where(released, self._wgt[idx, done], 0.0)
+        self.active_deadlines[:mm] = np.where(released, self._dl[idx, done], np.inf)
         if self._reqk is not None:
             self.active_req_matrix[:, :mm] = np.where(
-                live[None, :], self._reqk[:, idx, j], 0.0
+                released[None, :], self._reqk[:, idx, done], 0.0
             )
 
     def extend(self, instance: Instance, processor: int) -> None:
         """Adopt *instance*: this state's instance plus one job on *processor*.
 
-        Writes only the new job's row into the padded tables, which
-        grow by doubling their job capacity when a queue fills them; a
-        new processor adds one lane, released at its release time like
-        the lanes of a fresh state.  The resulting state equals a
-        checkpoint of this state restored into *instance*, including
-        its known defect: on a queue that had already drained, the
-        active views load the new job but ``remaining`` stays 0, so the
-        job completes at its first active step without consuming work.
+        Writes only the new job's column into the padded tables, which
+        double their width when the job would take a queue's last
+        column, so every queue keeps its sentinel (see
+        :func:`job_tables`); a new processor adds one lane, released at
+        its release time like the lanes of a fresh state.  The
+        resulting state equals a checkpoint of this state restored
+        into *instance*, including its known defect: on a queue that
+        had already drained, the active views load the new job but
+        ``remaining`` stays 0, so the job completes at its first active
+        step without consuming work.
         """
         job = instance.job(processor, instance.num_jobs(processor) - 1)
         if processor == self.num_processors:
             self._add_lane(instance.release(processor))
         i = processor
         j = int(self.num_jobs[i])
-        if j == self._req.shape[1]:
-            self._grow_tables(2 * j)
+        if j + 1 == self._req.shape[1]:
+            self._grow_tables(2 * (j + 1))
         self._req[i, j] = float(job.requirement)
         self._work[i, j] = float(job.work)
         self._wgt[i, j] = float(job.weight)
@@ -389,31 +415,89 @@ class VectorState:
         if self._reqk is not None:
             self._reqk = _widened(self._reqk, capacity, 0.0)
 
-    def advance(self, finished: np.ndarray) -> None:
-        """Complete the active jobs of the *finished* index array.
+def job_tables(instances: tuple[Instance, ...]) -> tuple:
+    """Build the padded per-job tables of *instances*, one lane per instance.
 
-        Loads the successor job (or zeros the lane) on each.
-        """
-        self.done[finished] += 1
-        has_next = finished[self.done[finished] < self.num_jobs[finished]]
-        self.remaining[has_next] = self._work[has_next, self.done[has_next]]
-        self.active_requirements[has_next] = self._req[
-            has_next, self.done[has_next]
-        ]
-        self.active_weights[has_next] = self._wgt[has_next, self.done[has_next]]
-        self.active_deadlines[has_next] = self._dl[
-            has_next, self.done[has_next]
-        ]
-        exhausted = finished[self.done[finished] >= self.num_jobs[finished]]
-        self.remaining[exhausted] = 0.0
-        self.active_requirements[exhausted] = 0.0
-        self.active_weights[exhausted] = 0.0
-        self.active_deadlines[exhausted] = np.inf
-        if self._reqk is not None:
-            self.active_req_matrix[:, has_next] = self._reqk[
-                :, has_next, self.done[has_next]
-            ]
-            self.active_req_matrix[:, exhausted] = 0.0
+    Returns ``(num_jobs, release, jobs, reqk)``: ``(B, m)`` int64 job
+    counts and release steps, the ``(4, B, m, n + 1)`` float64 block
+    of requirement / work / weight / deadline tables, and the
+    ``(B, k, m, n + 1)`` per-resource requirements (``None`` when
+    ``k == 1``), for the batch maxima ``m``, ``n`` and ``k``.  The one
+    table layout of :class:`VectorState` (``B == 1``) and
+    :class:`~repro.backends.batched.BatchVectorState`.
+
+    Sentinel contract: every column from ``num_jobs[b, i]`` on -- at
+    least one per queue -- holds the *empty job*: work 0, requirement
+    0, weight 0, deadline ``inf``, as do padded processors and
+    resource rows.  Loading column ``done`` of a drained queue
+    therefore zeroes its active slot with no branch (see
+    :meth:`JobTableState.advance`).
+
+    Neighborhood batches permute one bag of job objects, and each move
+    touches at most two queues, so float conversions are memoized per
+    job, row indices per queue, and the tables fill with one scatter
+    per field.
+    """
+    B = len(instances)
+    m = max(inst.num_processors for inst in instances)
+    width = max(inst.max_jobs for inst in instances) + 1
+    k = max(inst.num_resources for inst in instances)
+    num_jobs = np.zeros((B, m), dtype=np.int64)
+    release = np.zeros((B, m), dtype=np.int64)
+    reqk = None if k == 1 else np.zeros((B, k, m, width))
+    rows: dict[int, int] = {}
+    table: list[tuple[float, float, float, float]] = []
+    table_k: list[tuple[float, ...]] = []
+    q_rows: dict[tuple, np.ndarray] = {}
+    slots: list[int] = []  # b * m + i, one entry per queue
+    counts: list[int] = []
+    releases: list[int] = []
+    parts: list[np.ndarray] = []
+    for b, inst in enumerate(instances):
+        releases.extend(inst.releases)
+        for i, queue in enumerate(inst.queues):
+            # Keyed by job identity: hashing the tuple itself would call
+            # Job.__hash__ once per job.
+            key = tuple(map(id, queue))
+            ri_q = q_rows.get(key)
+            if ri_q is None:
+                idxs = []
+                for job in queue:
+                    row = rows.get(id(job))
+                    if row is None:
+                        row = len(table)
+                        rows[id(job)] = row
+                        table.append(
+                            (
+                                float(job.requirement),
+                                float(job.work),
+                                float(job.weight),
+                                np.inf if job.deadline is None else float(job.deadline),
+                            )
+                        )
+                        if reqk is not None:
+                            reqs = tuple(float(r) for r in job.requirements)
+                            table_k.append(reqs + (0.0,) * (k - len(reqs)))
+                    idxs.append(row)
+                ri_q = np.array(idxs, dtype=np.intp)
+                q_rows[key] = ri_q
+            slots.append(b * m + i)
+            counts.append(len(queue))
+            parts.append(ri_q)
+    num_jobs.put(slots, counts)
+    release.put(slots, releases)
+    # Flat table indices s * width + j of every job j on every slot s,
+    # in the slot order of parts.
+    at = (np.arange(width) < num_jobs.reshape(-1, 1)).ravel().nonzero()[0]
+    ri = np.concatenate(parts)
+    # One block holds the four tables; deadlines default to inf.
+    fields = np.zeros((4, B * m * width))
+    fields[3] = np.inf
+    fields[:, at] = np.array(table)[ri].T
+    if reqk is not None:
+        bi, ii, ji = np.unravel_index(at, (B, m, width))
+        reqk[bi, :, ii, ji] = np.array(table_k, dtype=np.float64)[ri]
+    return num_jobs, release, fields.reshape(4, B, m, width), reqk
 
 
 def _widened(table: np.ndarray, capacity: int, fill: float) -> np.ndarray:
@@ -483,16 +567,16 @@ class VectorRuntime(KernelRuntime):
                 f"{self._m} processors and {self._k} resource(s) at "
                 f"step {t} (expected {expected})"
             )
-        if (shares < -tol).any() or (shares > 1.0 + tol).any():
+        # Written as "not inside" so NaN fails the test too.
+        lo, hi = shares.min(), shares.max()
+        if not (lo >= -tol and hi <= 1.0 + tol):
             raise InfeasibleAssignmentError(
-                f"step {t}: share outside [0, 1] "
-                f"(min={shares.min()}, max={shares.max()})"
+                f"step {t}: share outside [0, 1] (min={lo}, max={hi})"
             )
         # Per-resource capacity: sum over processors (the flat vector
         # is the k=1 row of the same formulation).
-        totals = shares.sum(axis=-1, keepdims=False)
-        worst = float(np.max(totals))
-        if worst > 1.0 + tol:
+        worst = float(shares.sum(axis=-1).max())
+        if not worst <= 1.0 + tol:
             raise InfeasibleAssignmentError(
                 f"step {t}: resource overused (sum of shares = "
                 f"{worst} > 1)"
@@ -517,10 +601,8 @@ class VectorRuntime(KernelRuntime):
         finished = np.flatnonzero(had_work & (state.remaining <= tol))
         completed: tuple[tuple[int, int], ...] = ()
         if finished.size:
-            completed = tuple(
-                (int(i), int(state.done[i])) for i in finished
-            )
-            state.advance(finished)
+            jobs = state.advance(finished)
+            completed = tuple(zip(finished.tolist(), jobs.tolist()))
         progressed = bool(finished.size) or float(work.sum()) > tol
         t = state.t
         state.t += 1

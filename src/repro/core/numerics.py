@@ -42,6 +42,7 @@ __all__ = [
     "frac_floor",
     "frac_sum",
     "product_sum",
+    "sum_by_denominator",
     "common_denominator",
     "quantize",
     "as_float",
@@ -126,16 +127,24 @@ def frac_sum(values: Iterable[Num]) -> Fraction:
 def product_sum(pairs: Iterable[tuple[Rational | int, Rational | int]]) -> Fraction:
     """Exact ``sum(a * b)`` over *pairs* of rationals or ints.
 
-    Python ints over the least common denominator: no per-term
-    ``Fraction`` normalisation (the empty sum is 0).
+    One pass folds the integer numerators by denominator, so the
+    empty sum is 0 and no term is normalised as a ``Fraction``.
     """
-    nums: list[int] = []
-    dens: list[int] = []
+    by_den: dict[int, int] = {}
     for a, b in pairs:
-        nums.append(a.numerator * b.numerator)
-        dens.append(a.denominator * b.denominator)
-    d = math.lcm(*dens)
-    return Fraction(sum(n * (d // q) for n, q in zip(nums, dens)), d)
+        q = a.denominator * b.denominator
+        by_den[q] = by_den.get(q, 0) + a.numerator * b.numerator
+    return sum_by_denominator(by_den)
+
+
+def sum_by_denominator(by_den: dict[int, int]) -> Fraction:
+    """Exact ``sum(p / q)`` over a ``{q: p}`` fold of integer numerators.
+
+    One least common multiple over the distinct denominators, then one
+    integer sum (the empty fold is 0).
+    """
+    d = math.lcm(*by_den)
+    return Fraction(sum(p * (d // q) for q, p in by_den.items()), d)
 
 
 def common_denominator(values: Iterable[Num]) -> int:

@@ -23,7 +23,7 @@ from typing import Mapping
 from ..core.instance import Instance
 from ..core.job import JobId
 from ..core.lower_bounds import weighted_flow_bound
-from ..core.numerics import product_sum
+from ..core.numerics import sum_by_denominator
 from .base import Objective, register_objective
 
 __all__ = ["WeightedFlowTime"]
@@ -46,13 +46,18 @@ class WeightedFlowTime(Objective):
     def value_from_completions(
         self, instance: Instance, completion_steps: Mapping[JobId, int], makespan: int | None = None
     ) -> Fraction:
-        """``sum w * (C - release)`` over the 1-based completion steps."""
+        """``sum w * (C - release)`` over the 1-based completion steps.
+
+        One pass folds the weight numerators by denominator (see
+        :func:`~repro.core.numerics.product_sum`).
+        """
         queues = instance.queues
         releases = instance.releases
-        return product_sum(
-            (queues[i][j].weight, t + 1 - releases[i])
-            for (i, j), t in completion_steps.items()
-        )
+        by_den: dict[int, int] = {}
+        for (i, j), t in completion_steps.items():
+            p, q = queues[i][j].weight.as_integer_ratio()
+            by_den[q] = by_den.get(q, 0) + p * (t + 1 - releases[i])
+        return sum_by_denominator(by_den)
 
     def lower_bound(self, instance: Instance) -> Fraction:
         """Per-job earliest-completion certificates, weight-summed."""

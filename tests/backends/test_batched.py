@@ -173,9 +173,22 @@ class TestTelemetry:
             metrics.counter("batched.lane_steps").value == result.lane_steps
         )
 
+    def test_batched_run_span_notes_build_and_objective_time(self):
+        with use_session(TelemetrySession()) as session:
+            run_batch(_batch(4), "greedy-balance", objectives=("weighted-flow",))
+            run_batch(_batch(4), "greedy-balance")
+        spans = [r for r in session.tracer.records if r.name == "batched.run"]
+        assert len(spans) == 2
+        for span in spans:
+            assert span.attrs["build_s"] > 0.0
+            assert 0.0 <= span.attrs["objective_s"] < span.dur
+        assert spans[0].attrs["objective_s"] > 0.0
+
     def test_no_session_no_overhead(self):
         result = run_batch(_batch(), "greedy-balance")
         assert result.lanes == 3  # ran fine without telemetry
+        # No session: state construction is not timed.
+        assert BatchVectorRuntime(_batch(), "greedy-balance").build_s == 0.0
 
 
 class TestBatchedExecutionMode:

@@ -354,6 +354,69 @@ class TestExtension:
             restore_runtime(ckpt, instance=narrow)
 
 
+class TestTableWidthBoundary:
+    """The vector state's sentinel column at the edge of its tables.
+
+    Every queue keeps one empty-job column past its last job:
+    ``extend`` widens the tables before a job would take that column,
+    and a drained queue's ``done == n_i`` indexes it.
+    """
+
+    @staticmethod
+    def _finish(rt, policy):
+        obs = [CompletionRecorder(), ShareRecorder()]
+        makespan = run_kernel(rt, policy, obs)
+        return makespan, obs[0].completion_steps, [row.tolist() for row in obs[1].shares]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    # Queue 0 is the widest (its job widens the tables); queue 1 is one
+    # short (its job fills them up to the sentinel column).
+    @pytest.mark.parametrize("processor", [0, 1])
+    @pytest.mark.parametrize("cut", [0, 1])
+    def test_extend_to_table_width_then_drain(self, k, processor, cut):
+        def job(r, size=1):
+            return Job([r] * k, size)
+
+        small = Instance(
+            [[job("1/2"), job("1/4"), job("1/4")], [job("1/4", 2), job("1/2")]]
+        )
+        policy = get_policy("greedy-balance")
+        live = VectorRuntime(small)
+        run_kernel(live, policy, stop=lambda r: r.t >= cut)
+        reference = restore_runtime(checkpoint_run(live))
+        live.extend(job("1/3", 2), processor)
+        assert live.instance.num_jobs(processor) == live.instance.max_jobs
+        # The extended queue still ends in a sentinel column.
+        assert live.state._work.shape[1] > live.instance.max_jobs
+        reference = restore_runtime(
+            checkpoint_run(reference), instance=live.instance
+        )
+        assert live.capture() == reference.capture()
+        outcome = self._finish(live, policy)
+        assert outcome == self._finish(reference, policy)
+        if cut == 0:
+            assert outcome == self._finish(VectorRuntime(live.instance), policy)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("cut", [3, 4, 6])
+    def test_restore_with_widest_queue_drained(self, k, cut):
+        # Queue 0 (the widest) drains after 3 steps; queue 1 runs 10.
+        inst = Instance(
+            [[Job(["1/10"] * k) for _ in range(3)], [Job(["1/2"] * k, 10)]]
+        )
+        policy = get_policy("greedy-balance")
+        live = VectorRuntime(inst)
+        run_kernel(live, policy, stop=lambda r: r.t >= cut)
+        assert live.state.done.tolist()[0] == inst.num_jobs(0) == inst.max_jobs
+        restored = restore_runtime(
+            KernelCheckpoint.from_json(checkpoint_run(live).to_json())
+        )
+        assert restored.capture() == live.capture()
+        assert _resumed_run(inst, policy, "vector", cut) == _full_run(
+            inst, policy, "vector"
+        )
+
+
 class TestFastForward:
     def test_at_step_moves_clock(self, two_proc_instance):
         rt = ExactRuntime(two_proc_instance)
