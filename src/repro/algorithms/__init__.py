@@ -23,6 +23,7 @@ Offline exact algorithms:
 
 from .base import (
     Policy,
+    WaterFillPolicy,
     available_policies,
     get_policy,
     register_policy,
@@ -66,6 +67,7 @@ __all__ = [
     "Policy",
     "ProportionalShare",
     "RoundRobin",
+    "WaterFillPolicy",
     "available_policies",
     "branch_and_bound_order",
     "brute_force_makespan",

@@ -5,7 +5,10 @@ Two kinds of algorithms live in this subpackage:
 * **online policies** -- state-feedback rules invoked once per time
   step by :func:`repro.core.simulator.simulate` (RoundRobin,
   GreedyBalance, the baseline heuristics).  They subclass
-  :class:`Policy` and implement :meth:`Policy.shares`.
+  :class:`Policy` and implement :meth:`Policy.shares`; water-filling
+  policies subclass :class:`WaterFillPolicy` and only declare a
+  priority ``key``, from which the exact, vector and batched shares
+  are all derived.
 * **offline exact algorithms** -- functions that take an
   :class:`~repro.core.instance.Instance` and return an optimal
   :class:`~repro.core.schedule.Schedule` directly
@@ -23,6 +26,7 @@ receives a partial grant).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -33,7 +37,11 @@ from ..core.numerics import ONE, ZERO
 from ..core.schedule import Schedule
 from ..core.simulator import simulate
 from ..core.state import ExecState
-from ..exceptions import UnknownPolicyError, VectorizationUnsupportedError
+from ..exceptions import (
+    UnknownKeyColumnError,
+    UnknownPolicyError,
+    VectorizationUnsupportedError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..backends.base import BackendResult
@@ -42,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 __all__ = [
     "Policy",
+    "WaterFillPolicy",
     "water_fill",
     "water_fill_multi",
     "water_fill_array",
@@ -156,6 +165,104 @@ class Policy:
         return f"{type(self).__name__}()"
 
 
+def _active_job(state: ExecState, i: int):
+    return state.instance.job(i, state.active_job(i))
+
+
+def _exact_deadline(state: ExecState, i: int):
+    due = _active_job(state, i).deadline
+    return math.inf if due is None else due
+
+
+def _density(state) -> np.ndarray:
+    # Finished/unreleased processors have weight 0; park their density
+    # at 0 (they sort first but receive no useful share).
+    w = state.active_weights
+    return sort_key(np.divide(state.remaining, w, out=np.zeros_like(w), where=w > 0.0))
+
+
+#: The priority-key columns: ``name -> (exact value of processor i,
+#: float column of a (m,) or (B, m) state)``.
+_KEY_COLUMNS = {
+    "jobs_remaining": (ExecState.jobs_remaining, lambda s: s.jobs_remaining),
+    "remaining": (ExecState.remaining_work, lambda s: sort_key(s.remaining)),
+    "deadline": (_exact_deadline, lambda s: s.active_deadlines),
+    "density": (lambda s, i: s.remaining_work(i) / _active_job(s, i).weight, _density),
+}
+
+
+class WaterFillPolicy(Policy):
+    """A policy that water-fills in the order of a declared priority key.
+
+    Subclasses declare ``key``: column names from ``jobs_remaining``,
+    ``remaining``, ``deadline`` (``inf`` when absent) and ``density``
+    (remaining work / weight), most significant first, each ascending
+    unless prefixed with ``-``.  The processor index breaks the last
+    ties; the empty key is processor-index order.  From that
+    one declaration this class derives the exact :meth:`shares` (a
+    ``sorted`` over the active processors) and both float paths (one
+    ``lexsort`` along the last axis, serving ``(m,)`` and ``(B, m)``
+    states alike).  A subclass may also restrict the float fills with
+    :meth:`eligible` (RoundRobin's phases).
+
+    Example:
+        >>> from repro.core import Instance
+        >>> class HeaviestFirst(WaterFillPolicy):
+        ...     name = "heaviest-first"
+        ...     key = ("-remaining",)
+        >>> inst = Instance.from_percent([[60, 40], [80, 20]])
+        >>> HeaviestFirst().run(inst).makespan
+        3
+        >>> HeaviestFirst().run_backend(inst, "vector").makespan
+        3
+    """
+
+    #: Priority columns, most significant first (``-name``: descending).
+    key: tuple[str, ...] = ()
+    #: ``(exact value, float column, descending)`` for each key column.
+    _columns: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        columns = []
+        for name in cls.key:
+            column = _KEY_COLUMNS.get(name.removeprefix("-"))
+            if column is None:
+                raise UnknownKeyColumnError(
+                    f"{cls.__name__}.key names unknown column {name!r}; "
+                    f"available: {sorted(_KEY_COLUMNS)}"
+                )
+            columns.append((*column, name.startswith("-")))
+        cls._columns = tuple(columns)
+
+    def eligible(self, state) -> np.ndarray | None:
+        """Mask of the processors the float fills may serve (all: None)."""
+        return None
+
+    def shares(self, state: ExecState) -> Sequence[Fraction]:
+        columns = self._columns
+        order = sorted(
+            state.active_processors(),
+            key=lambda i: (*[-f(state, i) if neg else f(state, i) for f, _, neg in columns], i),
+        )
+        return water_fill(state, order)
+
+    def _order(self, state) -> np.ndarray | None:
+        # lexsort is stable, so equal keys keep index order, as in the
+        # exact path, and its last key is the primary one.  Finished
+        # processors have zero useful share, so wherever they sort, the
+        # fill skips them.
+        if not self._columns:
+            return None
+        return np.lexsort([-f(state) if neg else f(state) for _, f, neg in reversed(self._columns)])
+
+    def shares_array(self, state: "VectorState") -> np.ndarray:
+        return water_fill_array(state, self._order(state), eligible=self.eligible(state))
+
+    def shares_batch(self, state: "BatchVectorState") -> np.ndarray:
+        return water_fill_array_batch(state, self._order(state), eligible=self.eligible(state))
+
+
 def water_fill(
     state: ExecState,
     order: Iterable[int],
@@ -261,16 +368,19 @@ def sort_key(values: np.ndarray, *, decimals: int = 9) -> np.ndarray:
 
 def water_fill_array(
     state: "VectorState",
-    order: np.ndarray,
+    order: np.ndarray | None,
     *,
+    eligible: np.ndarray | None = None,
     capacity: float = 1.0,
 ) -> np.ndarray:
     """Vectorized :func:`water_fill` over a float64 state.
 
     *order* is an array of processor indices in priority order (it may
     include inactive processors -- their useful share is zero, so they
-    neither receive nor consume capacity).  The grant rule is identical
-    to the exact path: each processor gets
+    neither receive nor consume capacity); ``None`` is processor-index
+    order.  *eligible* optionally masks processors out of the fill (a
+    boolean indexed by processor).  The grant rule is identical to the
+    exact path: each processor gets
     ``min(remaining_work, requirement, capacity_left)``, realized as a
     prefix-sum followed by a clip, so the whole fill is O(m) NumPy work
     with no Python loop.
@@ -279,15 +389,35 @@ def water_fill_array(
     and return a ``(k, m)`` share matrix instead of a flat vector.
     """
     if state.num_resources != 1:
+        order = np.arange(state.num_processors) if order is None else np.asarray(order)
+        if eligible is not None:
+            order = order[eligible[order]]
         return water_fill_array_multi(state, order, capacity=capacity)
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
+    return _prefix_fill(state, order, eligible, capacity)
+
+
+def _prefix_fill(state, at: np.ndarray | None, eligible, capacity: float) -> np.ndarray:
+    """The single-resource prefix-sum grant rule over ``(m,)`` or ``(B, m)``.
+
+    *at* holds flat indices into the processor arrays in priority order
+    -- the order itself for one lane, ``order + lane * m`` for a batch
+    -- or is ``None`` for index order (no gather, no scatter).
+    Processors outside *eligible* get zero useful share.  Each row's
+    cumsum sees exactly the ordered values of a per-lane fill, since
+    interleaved exact zeros never perturb a float cumsum.
+    """
     useful = np.minimum(state.remaining, state.active_requirements)
-    u = useful[order]
-    taken_before = np.cumsum(u) - u
+    if eligible is not None:
+        useful = np.where(eligible, useful, 0.0)
+    u = useful if at is None else useful.take(at)
+    taken_before = np.cumsum(u, axis=-1) - u
     grants = np.clip(capacity - taken_before, 0.0, u)
-    shares = np.zeros(state.num_processors, dtype=np.float64)
-    shares[order] = grants
+    if at is None:
+        return grants
+    shares = np.zeros(useful.shape)
+    shares.put(at, grants)
     return shares
 
 
@@ -388,7 +518,7 @@ def _fill_arrays_multi(
 
 def water_fill_array_batch(
     state: "BatchVectorState",
-    order: np.ndarray,
+    order: np.ndarray | None,
     *,
     eligible: np.ndarray | None = None,
     capacity: float = 1.0,
@@ -396,13 +526,14 @@ def water_fill_array_batch(
     """Water-fill all ``B`` lanes of a batch state in one array program.
 
     *order* is a ``(B, m)`` array of processor indices, one priority
-    permutation per lane; *eligible* optionally masks processors out of
-    the fill (a ``(B, m)`` boolean indexed by processor, **not** by
-    order position -- RoundRobin's phase restriction).  Padded and
-    inactive processors have zero useful share, so they neither
-    receive nor consume capacity; partial sums are bit-identical to
-    the per-lane :func:`water_fill_array` because interleaved exact
-    zeros never perturb a float cumsum.
+    permutation per lane, or ``None`` for processor-index order;
+    *eligible* optionally masks processors out of the fill (a
+    ``(B, m)`` boolean indexed by processor, **not** by order position
+    -- RoundRobin's phase restriction).  Padded and inactive processors
+    have zero useful share, so they neither receive nor consume
+    capacity; partial sums are bit-identical to the per-lane
+    :func:`water_fill_array` because interleaved exact zeros never
+    perturb a float cumsum.
 
     Single-resource batches (``state.num_resources == 1``) run the
     fully vectorized prefix-sum fill.  Multi-resource batches run the
@@ -413,8 +544,12 @@ def water_fill_array_batch(
     """
     if capacity < 0:
         raise ValueError("capacity must be non-negative")
+    B, m = state.remaining.shape
+    at = None if order is None else order + np.arange(0, B * m, m)[:, None]
     if state.num_resources == 1:
-        return _prefix_fill_batch(state, order, eligible, capacity)
+        return _prefix_fill(state, at, eligible, capacity)
+    if order is None:
+        order = np.broadcast_to(np.arange(m), (B, m))
     shares = _fill_arrays_batch_multi(
         state.remaining,
         state.active_requirements,
@@ -427,30 +562,9 @@ def water_fill_array_batch(
     if scalar.any():
         # Single-resource lanes of a mixed batch follow the scalar
         # prefix-sum rule, exactly as their standalone vector run does.
-        rows = _prefix_fill_batch(state, order, eligible, capacity)
+        rows = _prefix_fill(state, at, eligible, capacity)
         shares[scalar] = 0.0
         shares[scalar, 0, :] = rows[scalar]
-    return shares
-
-
-def _prefix_fill_batch(state, order, eligible, capacity) -> np.ndarray:
-    """The single-resource prefix-sum grant rule over ``(B, m)`` lanes.
-
-    Gathers and scatters through the flat indices ``order + lane * m``
-    of the raveled lanes, so each lane's cumsum sees exactly the
-    ordered values of a per-lane :func:`water_fill_array` (interleaved
-    exact zeros never perturb it).
-    """
-    useful = np.minimum(state.remaining, state.active_requirements)
-    if eligible is not None:
-        useful = np.where(eligible, useful, 0.0)
-    B, m = useful.shape
-    at = order + np.arange(0, B * m, m)[:, None]
-    u = useful.take(at)
-    taken_before = np.cumsum(u, axis=1) - u
-    grants = np.clip(capacity - taken_before, 0.0, u)
-    shares = np.zeros_like(useful)
-    shares.put(at, grants)
     return shares
 
 

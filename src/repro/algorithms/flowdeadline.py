@@ -1,10 +1,11 @@
 """Objective-aware policies: deadline (EDF) and weighted flow (SRPT).
 
 The water-filling mechanism (:func:`repro.algorithms.base.water_fill`)
-separates *what order* from *how to grant*: every policy here only
-contributes a priority order, so both inherit non-wasting, progressive
-grants, the multi-resource (``k > 1``) generalization, and the
-vectorized float path for free.
+separates *what order* from *how to grant*: every policy here is a
+:class:`~repro.algorithms.base.WaterFillPolicy` that only declares a
+priority ``key``, so both inherit non-wasting, progressive grants, the
+multi-resource (``k > 1``) generalization, and the vector and batched
+float paths from that one declaration.
 
 :class:`EDFWaterfill`
     Earliest-deadline-first water-filling for the tardiness/lateness
@@ -26,27 +27,13 @@ vectorized float path for free.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
-
-from ..core.state import ExecState
-from .base import (
-    Policy,
-    register_policy,
-    sort_key,
-    water_fill,
-    water_fill_array,
-    water_fill_array_batch,
-)
+from .base import WaterFillPolicy, register_policy
 
 __all__ = ["EDFWaterfill", "WeightedSRPT"]
 
 
 @register_policy
-class EDFWaterfill(Policy):
+class EDFWaterfill(WaterFillPolicy):
     """Earliest-deadline-first water-filling (tardiness-tuned).
 
     Priority: ascending due step of the active job (``inf`` for jobs
@@ -65,35 +52,11 @@ class EDFWaterfill(Policy):
     """
 
     name = "edf-waterfill"
-
-    def shares(self, state: ExecState) -> Sequence[Fraction]:
-        inst = state.instance
-
-        def priority(i: int):
-            job = inst.job(i, state.active_job(i))
-            due = math.inf if job.deadline is None else job.deadline
-            return (due, state.remaining_work(i), i)
-
-        order = sorted(state.active_processors(), key=priority)
-        return water_fill(state, order)
-
-    def shares_array(self, state) -> np.ndarray:
-        # lexsort: last key is primary.  Stable, so exact index
-        # tie-breaking matches the exact path's (due, remaining, i).
-        order = np.lexsort(
-            (sort_key(state.remaining), state.active_deadlines)
-        )
-        return water_fill_array(state, order)
-
-    def shares_batch(self, state) -> np.ndarray:
-        order = np.lexsort(
-            (sort_key(state.remaining), state.active_deadlines), axis=-1
-        )
-        return water_fill_array_batch(state, order)
+    key = ("deadline", "remaining")
 
 
 @register_policy
-class WeightedSRPT(Policy):
+class WeightedSRPT(WaterFillPolicy):
     """Weighted shortest-remaining-work-first water-filling (flow-tuned).
 
     Priority: ascending ``remaining work / weight`` of the active job
@@ -111,38 +74,4 @@ class WeightedSRPT(Policy):
     """
 
     name = "weighted-srpt"
-
-    def shares(self, state: ExecState) -> Sequence[Fraction]:
-        inst = state.instance
-
-        def priority(i: int):
-            job = inst.job(i, state.active_job(i))
-            remaining = state.remaining_work(i)
-            return (remaining / job.weight, remaining, i)
-
-        order = sorted(state.active_processors(), key=priority)
-        return water_fill(state, order)
-
-    def shares_array(self, state) -> np.ndarray:
-        # Finished/unreleased processors have weight 0; park their
-        # density at 0 (they sort first but receive no useful share).
-        density = np.divide(
-            state.remaining,
-            state.active_weights,
-            out=np.zeros_like(state.remaining),
-            where=state.active_weights > 0.0,
-        )
-        order = np.lexsort((sort_key(state.remaining), sort_key(density)))
-        return water_fill_array(state, order)
-
-    def shares_batch(self, state) -> np.ndarray:
-        density = np.divide(
-            state.remaining,
-            state.active_weights,
-            out=np.zeros_like(state.remaining),
-            where=state.active_weights > 0.0,
-        )
-        order = np.lexsort(
-            (sort_key(state.remaining), sort_key(density)), axis=-1
-        )
-        return water_fill_array_batch(state, order)
+    key = ("density", "remaining")

@@ -26,26 +26,13 @@ paper's "simple linear-time algorithm" description.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
-
-from ..core.state import ExecState
-from .base import (
-    Policy,
-    register_policy,
-    sort_key,
-    water_fill,
-    water_fill_array,
-    water_fill_array_batch,
-)
+from .base import WaterFillPolicy, register_policy
 
 __all__ = ["GreedyBalance"]
 
 
 @register_policy
-class GreedyBalance(Policy):
+class GreedyBalance(WaterFillPolicy):
     """Balanced greedy water-filling (Section 8.3).
 
     Example:
@@ -55,31 +42,4 @@ class GreedyBalance(Policy):
     """
 
     name = "greedy-balance"
-
-    def shares(self, state: ExecState) -> Sequence[Fraction]:
-        order = sorted(
-            state.active_processors(),
-            key=lambda i: (
-                -state.jobs_remaining(i),
-                -state.remaining_work(i),
-                i,
-            ),
-        )
-        return water_fill(state, order)
-
-    def shares_array(self, state) -> np.ndarray:
-        # Same priority as `shares`: more remaining jobs first, then
-        # larger remaining work, then index (lexsort's stability gives
-        # the index tie-break; finished processors sort last with zero
-        # useful share, so including them is harmless).
-        order = np.lexsort((-sort_key(state.remaining), -state.jobs_remaining))
-        return water_fill_array(state, order)
-
-    def shares_batch(self, state) -> np.ndarray:
-        # Same priority, one lexsort over the whole batch (lexsort
-        # orders along the last axis, lane by lane); padded processors
-        # carry zero useful share, so their position never matters.
-        order = np.lexsort(
-            (-sort_key(state.remaining), -state.jobs_remaining), axis=-1
-        )
-        return water_fill_array_batch(state, order)
+    key = ("-jobs_remaining", "-remaining")

@@ -5,6 +5,12 @@ which is the policy behind Figure 1's example schedule); they serve as
 comparison points in the benchmark harness and as stress inputs for
 the property-based tests (e.g. :class:`ProportionalShare` produces
 valid but deliberately non-progressive schedules).
+
+The three water-filling baselines are
+:class:`~repro.algorithms.base.WaterFillPolicy` subclasses that only
+declare a priority ``key``.  :class:`ProportionalShare` is the one
+policy here that does not water-fill: it writes its float rule once,
+rank-polymorphic, for the vector and batched engines alike.
 """
 
 from __future__ import annotations
@@ -16,14 +22,7 @@ import numpy as np
 
 from ..core.numerics import ONE, ZERO, frac_sum
 from ..core.state import ExecState
-from .base import (
-    Policy,
-    register_policy,
-    sort_key,
-    water_fill,
-    water_fill_array,
-    water_fill_array_batch,
-)
+from .base import Policy, WaterFillPolicy, register_policy
 
 __all__ = [
     "GreedyFinishJobs",
@@ -34,7 +33,7 @@ __all__ = [
 
 
 @register_policy
-class GreedyFinishJobs(Policy):
+class GreedyFinishJobs(WaterFillPolicy):
     """Finish as many jobs as possible each step (Figure 1's policy).
 
     Water-fills in order of *increasing* remaining requirement: cheap
@@ -49,30 +48,11 @@ class GreedyFinishJobs(Policy):
     """
 
     name = "greedy-finish-jobs"
-
-    def shares(self, state: ExecState) -> Sequence[Fraction]:
-        order = sorted(
-            state.active_processors(),
-            key=lambda i: (state.remaining_work(i), i),
-        )
-        return water_fill(state, order)
-
-    def shares_array(self, state) -> np.ndarray:
-        # Cheapest remaining work first; finished processors sort first
-        # with zero useful share, which water-filling ignores.
-        return water_fill_array(
-            state, np.argsort(sort_key(state.remaining), kind="stable")
-        )
-
-    def shares_batch(self, state) -> np.ndarray:
-        return water_fill_array_batch(
-            state,
-            np.argsort(sort_key(state.remaining), axis=-1, kind="stable"),
-        )
+    key = ("remaining",)
 
 
 @register_policy
-class LargestRequirementFirst(Policy):
+class LargestRequirementFirst(WaterFillPolicy):
     """Water-fill in order of decreasing remaining requirement.
 
     The "anti-greedy": clears the heaviest active job first regardless
@@ -85,28 +65,11 @@ class LargestRequirementFirst(Policy):
     """
 
     name = "largest-requirement-first"
-
-    def shares(self, state: ExecState) -> Sequence[Fraction]:
-        order = sorted(
-            state.active_processors(),
-            key=lambda i: (-state.remaining_work(i), i),
-        )
-        return water_fill(state, order)
-
-    def shares_array(self, state) -> np.ndarray:
-        return water_fill_array(
-            state, np.argsort(-sort_key(state.remaining), kind="stable")
-        )
-
-    def shares_batch(self, state) -> np.ndarray:
-        return water_fill_array_batch(
-            state,
-            np.argsort(-sort_key(state.remaining), axis=-1, kind="stable"),
-        )
+    key = ("-remaining",)
 
 
 @register_policy
-class FewestRemainingJobsFirst(Policy):
+class FewestRemainingJobsFirst(WaterFillPolicy):
     """Water-fill processors with *fewer* remaining jobs first.
 
     The deliberate inversion of GreedyBalance's priority; useful as an
@@ -120,25 +83,7 @@ class FewestRemainingJobsFirst(Policy):
     """
 
     name = "fewest-remaining-jobs-first"
-
-    def shares(self, state: ExecState) -> Sequence[Fraction]:
-        order = sorted(
-            state.active_processors(),
-            key=lambda i: (state.jobs_remaining(i), -state.remaining_work(i), i),
-        )
-        return water_fill(state, order)
-
-    def shares_array(self, state) -> np.ndarray:
-        order = np.lexsort((-sort_key(state.remaining), state.jobs_remaining))
-        return water_fill_array(state, order)
-
-    def shares_batch(self, state) -> np.ndarray:
-        # Padded processors hold zero remaining jobs, so they sort
-        # first here -- harmlessly, their useful share is zero.
-        order = np.lexsort(
-            (-sort_key(state.remaining), state.jobs_remaining), axis=-1
-        )
-        return water_fill_array_batch(state, order)
+    key = ("jobs_remaining", "-remaining")
 
 
 @register_policy
@@ -166,25 +111,27 @@ class ProportionalShare(Policy):
 
     def shares_array(self, state) -> np.ndarray:
         if state.num_resources != 1:
-            return self._shares_array_multi(state)
-        total = float(state.remaining.sum())
-        if total == 0.0:
-            return np.zeros(state.num_processors, dtype=np.float64)
-        if total <= 1.0:
-            return state.remaining.copy()
-        return state.remaining / total
-
-    def shares_batch(self, state) -> np.ndarray:
-        if state.num_resources != 1:
-            return self._shares_batch_multi(state)
+            return self._theta_rows(state)
         return self._proportional_rows(state)
 
+    def shares_batch(self, state) -> np.ndarray:
+        if state.num_resources == 1:
+            return self._proportional_rows(state)
+        shares = self._theta_rows(state)
+        scalar = state.lane_num_resources == 1
+        if scalar.any():
+            # Single-resource lanes in a mixed batch follow the scalar
+            # rule, as their standalone vector run would.
+            shares[scalar, 0, :] = self._proportional_rows(state)[scalar]
+        return shares
+
+    # The float rules below serve a (m,) lane and a (B, m) batch alike:
+    # every reduction runs along the last axis.
     @staticmethod
     def _proportional_rows(state) -> np.ndarray:
-        # The scalar rule per lane: demand <= 1 grants remaining work
-        # outright, otherwise the row is normalized by its total (a
-        # finished lane's all-zero row passes through unchanged).
-        total = state.remaining.sum(axis=1, keepdims=True)
+        # Demand <= 1 grants remaining work outright, otherwise the row
+        # is normalized by its total (an all-zero row passes through).
+        total = state.remaining.sum(axis=-1, keepdims=True)
         scaled = np.divide(
             state.remaining,
             total,
@@ -193,27 +140,21 @@ class ProportionalShare(Policy):
         )
         return np.where(total > 1.0, scaled, state.remaining)
 
-    def _shares_batch_multi(self, state) -> np.ndarray:
-        req = state.active_req_matrix  # (B, k, m)
+    @staticmethod
+    def _theta_rows(state) -> np.ndarray:
+        # The k > 1 rule of `_shares_multi`: desired speed fractions
+        # scaled by one common theta per lane.
         rstar = state.active_requirements
-        positive = rstar > 0.0
         fraction = np.zeros_like(rstar)
-        np.divide(state.remaining, rstar, out=fraction, where=positive)
+        np.divide(state.remaining, rstar, out=fraction, where=rstar > 0.0)
         np.minimum(fraction, 1.0, out=fraction)
-        consume = req * fraction[:, None, :]
-        demand = consume.sum(axis=2)  # (B, k)
-        over = demand > 1.0
+        consume = state.active_req_matrix * fraction[..., None, :]
+        demand = consume.sum(axis=-1)  # full-speed demand per resource
         inv = np.divide(
-            1.0, demand, out=np.full_like(demand, np.inf), where=over
+            1.0, demand, out=np.full_like(demand, np.inf), where=demand > 1.0
         )
-        theta = np.minimum(inv.min(axis=1), 1.0)  # (B,)
-        shares = consume * theta[:, None, None]
-        scalar = state.lane_num_resources == 1
-        if scalar.any():
-            # Single-resource lanes in a mixed batch follow the scalar
-            # rule, as their standalone vector run would.
-            shares[scalar, 0, :] = self._proportional_rows(state)[scalar]
-        return shares
+        theta = np.minimum(inv.min(axis=-1, keepdims=True), 1.0)
+        return consume * theta[..., None]
 
     def shares(self, state: ExecState) -> Sequence[Fraction]:
         if state.instance.num_resources != 1:
@@ -264,17 +205,3 @@ class ProportionalShare(Policy):
             for lane, req in enumerate(reqs):
                 rows[lane][i] = theta * fraction * req
         return rows
-
-    def _shares_array_multi(self, state) -> np.ndarray:
-        req = state.active_req_matrix  # (k, m)
-        rstar = state.active_requirements
-        positive = rstar > 0.0
-        fraction = np.zeros(state.num_processors, dtype=np.float64)
-        fraction[positive] = np.minimum(
-            1.0, state.remaining[positive] / rstar[positive]
-        )
-        consume = req * fraction[None, :]  # full-speed demand per lane
-        demand = consume.sum(axis=1)
-        over = demand > 1.0
-        theta = float((1.0 / demand[over]).min()) if over.any() else 1.0
-        return consume * theta

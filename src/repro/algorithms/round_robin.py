@@ -15,7 +15,10 @@ bound via :func:`repro.generators.worst_case.round_robin_adversarial`).
 
 The phase index is recoverable from the execution state (the smallest
 ``j`` such that some processor with at least ``j`` jobs has not
-finished its ``j``-th job), so the policy stays stateless.
+finished its ``j``-th job), so the policy stays stateless.  As a
+:class:`~repro.algorithms.base.WaterFillPolicy` it declares the empty
+priority key (processor-index order) plus the phase as an eligibility
+mask; only its exact :meth:`RoundRobin.shares` is written out.
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ import numpy as np
 
 from ..core.numerics import frac_ceil, frac_sum
 from ..core.state import ExecState
-from .base import (
-    Policy,
-    register_policy,
-    water_fill,
-    water_fill_array,
-    water_fill_array_batch,
-)
+from .base import WaterFillPolicy, register_policy, water_fill
 
 __all__ = ["RoundRobin", "round_robin_phase", "round_robin_makespan_formula"]
 
@@ -44,17 +41,24 @@ def round_robin_phase(state: ExecState) -> int:
     The smallest ``j`` such that some processor with ``n_i >= j`` has
     completed fewer than ``j`` jobs.  All processors with completed
     count ``>= j`` wait (their ``j``-th job is done or they have none).
+    That is ``1 + min(done_i)`` over the *pending* processors (those
+    with unfinished jobs, released or not): a pending ``i`` witnesses
+    ``j = done_i + 1``, and no smaller ``j`` has a witness.
     """
     inst = state.instance
-    for j in range(1, inst.max_jobs + 1):
-        for i in range(inst.num_processors):
-            if inst.num_jobs(i) >= j and state.done[i] < j:
-                return j
-    return inst.max_jobs  # pragma: no cover - only when everything is done
+    done = state.done
+    return 1 + min(
+        (done[i] for i in range(inst.num_processors) if done[i] < inst.num_jobs(i)),
+        default=inst.max_jobs - 1,
+    )
+
+
+#: A finished lane's minimum completed count: no processor matches it.
+_NO_PHASE = np.iinfo(np.int64).max
 
 
 @register_policy
-class RoundRobin(Policy):
+class RoundRobin(WaterFillPolicy):
     """Phase-synchronized round robin (Section 4.2).
 
     Within a phase the resource is assigned by water-filling in
@@ -73,41 +77,26 @@ class RoundRobin(Policy):
 
     def shares(self, state: ExecState) -> Sequence[Fraction]:
         phase = round_robin_phase(state)
+        done = state.done
+        num_jobs = state.instance.num_jobs
         eligible = [
             i
             for i in range(state.num_processors)
-            if state.instance.num_jobs(i) >= phase and state.done[i] == phase - 1
+            if done[i] == phase - 1 < num_jobs(i)
         ]
         return water_fill(state, eligible)
 
-    def shares_array(self, state) -> np.ndarray:
-        # The current phase is 1 + min completed count over *pending*
-        # processors (a pending processor with minimal `done` witnesses
-        # exactly the smallest j of `round_robin_phase`).  Pending --
-        # not merely active -- so that, as in the exact path, a phase
-        # held open by a not-yet-released processor blocks later
+    def eligible(self, state) -> np.ndarray:
+        # The phase rule of `round_robin_phase` along the last axis.
+        # Pending -- not merely active -- so that, as in the exact path,
+        # a phase held open by a not-yet-released processor blocks later
         # phases; unreleased eligibles have zero useful share, so the
-        # water-fill skips them.  The fill order is processor index.
+        # water-fill skips them.  A finished lane parks its minimum at
+        # `_NO_PHASE`, so nothing is eligible and its row is all zero.
         pending = state.pending_mask
-        min_done = state.done[pending].min()
-        eligible = np.flatnonzero(pending & (state.done == min_done))
-        return water_fill_array(state, eligible)
-
-    def shares_batch(self, state) -> np.ndarray:
-        # Per-lane phase = 1 + min completed count over pending
-        # processors; finished lanes (no pending processor) park their
-        # minimum at int64 max, so nothing is eligible and the lane
-        # receives an all-zero row.
-        pending = state.pending_mask  # (B, m)
-        big = np.iinfo(np.int64).max
-        min_done = np.where(pending, state.done, big).min(
-            axis=1, keepdims=True
-        )
-        eligible = pending & (state.done == min_done)
-        order = np.broadcast_to(
-            np.arange(state.num_processors), pending.shape
-        )
-        return water_fill_array_batch(state, order, eligible=eligible)
+        done = state.done
+        phase = np.where(pending, done, _NO_PHASE).min(axis=-1, keepdims=True)
+        return pending & (done == phase)
 
 
 def round_robin_makespan_formula(instance) -> int:

@@ -32,10 +32,10 @@ and advances all of them with one shared array program per step:
   :class:`~repro.backends.vector.VectorBackend` runs.
 
 Policies advertise a batched priority path via
-:meth:`repro.algorithms.base.Policy.shares_batch` (the water-filling
-family implements it); policies with only a single-lane
-``shares_array`` are stepped lane by lane through a
-:class:`_LaneView` adapter -- correct, just without the batched
+:meth:`repro.algorithms.base.Policy.shares_batch` (every
+``WaterFillPolicy`` derives it from its priority key); policies with
+only a single-lane ``shares_array`` are stepped lane by lane through
+a :class:`_LaneView` adapter -- correct, just without the batched
 speedup.  Multi-resource (``k > 1``) batches run the batched
 depletion-rounds fill inside the same step.
 

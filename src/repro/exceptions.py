@@ -20,6 +20,7 @@ __all__ = [
     "BackendError",
     "VectorizationUnsupportedError",
     "UnknownPolicyError",
+    "UnknownKeyColumnError",
     "UnknownObjectiveError",
     "SequencingError",
     "CheckpointError",
@@ -131,6 +132,14 @@ class UnknownPolicyError(ReproError, KeyError):
         # KeyError.__str__ repr()s its single argument, which would
         # wrap the human-readable message in quotes.
         return self.args[0] if len(self.args) == 1 else super().__str__()
+
+
+class UnknownKeyColumnError(ReproError, ValueError):
+    """A water-fill policy's priority ``key`` names an unknown column.
+
+    Raised when the :class:`~repro.algorithms.base.WaterFillPolicy`
+    subclass is defined; the message lists the known columns.
+    """
 
 
 class UnknownObjectiveError(ReproError, KeyError):

@@ -22,16 +22,14 @@ load-bearing."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
-from ..algorithms.base import Policy, water_fill
+from ..algorithms.base import WaterFillPolicy
 from ..algorithms.greedy_balance import GreedyBalance
 from ..algorithms.heuristics import FewestRemainingJobsFirst, LargestRequirementFirst
 from ..core.hypergraph import SchedulingGraph
 from ..core.lower_bounds import theorem7_reference
 from ..core.numerics import as_float
 from ..core.properties import is_balanced
-from ..core.state import ExecState
 from ..generators.random_instances import uniform_instance
 from ..generators.worst_case import greedy_balance_adversarial
 from .runner import ExperimentResult
@@ -39,20 +37,14 @@ from .runner import ExperimentResult
 __all__ = ["run", "GreedyBalanceSmallTie"]
 
 
-class GreedyBalanceSmallTie(Policy):
+class GreedyBalanceSmallTie(WaterFillPolicy):
     """GreedyBalance with the tie-break inverted: among processors with
     equally many remaining jobs, serve the *smallest* remaining
     requirement first.  Still balanced (the queue-length priority is
     untouched), so Theorem 7 still applies."""
 
     name = "gb-small-tie"
-
-    def shares(self, state: ExecState) -> Sequence[Fraction]:
-        order = sorted(
-            state.active_processors(),
-            key=lambda i: (-state.jobs_remaining(i), state.remaining_work(i), i),
-        )
-        return water_fill(state, order)
+    key = ("-jobs_remaining", "remaining")
 
 
 def run(

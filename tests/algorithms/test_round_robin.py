@@ -1,5 +1,6 @@
 """Unit tests for RoundRobin (Section 4.2, Theorem 3)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,22 @@ from repro.algorithms import (
 )
 from repro.algorithms.round_robin import round_robin_phase
 from repro.core import ExecState, Instance
-from repro.generators import round_robin_adversarial, uniform_instance
+from repro.generators import (
+    ragged_instance,
+    round_robin_adversarial,
+    uniform_instance,
+    with_arrivals,
+)
+
+
+def _frozen_phase(state):
+    """The phase as first written: scan j = 1.. over every processor."""
+    inst = state.instance
+    for j in range(1, inst.max_jobs + 1):
+        for i in range(inst.num_processors):
+            if inst.num_jobs(i) >= j and state.done[i] < j:
+                return j
+    return inst.max_jobs
 
 
 class TestPhases:
@@ -32,6 +48,28 @@ class TestPhases:
         state.apply([Fraction(1, 2), Fraction(1, 2)])
         # Processor 0 has no phase-2 job; phase 2 concerns only p1.
         assert round_robin_phase(state) == 2
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_phase_matches_frozen_scan(self, seed):
+        """``1 + min done`` over pending processors == the j-scan.
+
+        Random completed counts on ragged queues, with unreleased
+        processors (releases past ``t``) and drained queues
+        (``done == n_i``), up to every queue drained.
+        """
+        rng = random.Random(seed)
+        inst = ragged_instance(rng.randint(1, 5), (1, 5), seed=seed)
+        if seed % 2:
+            inst = with_arrivals(inst, max_release=4, seed=seed)
+        state = ExecState(inst)
+        m = inst.num_processors
+        for trial in range(12):
+            state.t = rng.randint(0, 5)
+            state.done = [
+                inst.num_jobs(i) if trial == 0 else rng.randint(0, inst.num_jobs(i))
+                for i in range(m)
+            ]
+            assert round_robin_phase(state) == _frozen_phase(state), state.done
 
     def test_idle_within_phase_wastes(self):
         # p0's phase-1 job finishes in step 1; p1 needs two steps; p0
