@@ -13,10 +13,14 @@ and advances all of them with one shared array program per step:
   turns each policy's priority order into per-lane grants with one
   flat-index gather (``order + lane * m``) + ``cumsum`` + ``clip``
   and one scatter back;
+* the lanes' job tables are one gather of a
+  :class:`~repro.backends.vector.JobBag`'s rows by row id; a batch
+  arrives as instances or, from the local search, as a
+  :class:`~repro.backends.vector.BagSelection` of id permutations
+  whose instances are built only if read;
 * completion tests and release unmasking are batched boolean masks;
   successor loading is one flat gather and scatter per field from the
-  sentinel-padded job tables (:func:`~repro.backends.vector.job_tables`),
-  so a drained queue needs no branch;
+  sentinel-padded tables, so a drained queue needs no branch;
 * every lane terminates early -- a finished lane's processors hold
   zero remaining work, so it receives all-zero shares and rides along
   masked; once the live fraction of a large batch drops below the
@@ -24,12 +28,11 @@ and advances all of them with one shared array program per step:
   surviving lanes so long-tail ragged batches stop paying for dead
   ones (``BatchRunResult.compactions`` counts the shrinks);
 * completion steps land in one ``(B, m, n + 1)`` array with one
-  fancy-index store per step; each lane's record becomes a dict once,
-  after the run, and every objective is evaluated once per lane through
-  :meth:`~repro.objectives.base.Objective.value_from_completions`, so
-  makespan / weighted flow / tardiness come out as length-``B``
-  vectors equal to ``B`` separate
-  :class:`~repro.backends.vector.VectorBackend` runs.
+  fancy-index store per step; after the run every objective reduces
+  it once (:meth:`~repro.objectives.base.Objective.batch_values`:
+  one int64 sum for weighted flow, per-lane folds otherwise), equal
+  to ``B`` separate :class:`~repro.backends.vector.VectorBackend`
+  runs.
 
 Policies advertise a batched priority path via
 :meth:`repro.algorithms.base.Policy.shares_batch` (every
@@ -64,7 +67,7 @@ from ..exceptions import (
 )
 from ..telemetry import get_session
 from .base import resolve_objectives
-from .vector import JobTableState, job_tables
+from .vector import BagSelection, JobTableState
 
 __all__ = [
     "BatchVectorState",
@@ -91,7 +94,10 @@ class BatchVectorState(JobTableState):
     column of :func:`~repro.backends.vector.job_tables`.
 
     Attributes:
-        instances: the originating instances, in lane order.
+        selection: the originating lanes, a
+            :class:`~repro.backends.vector.BagSelection` (in original
+            lane order; compaction does not touch it).
+        instances: the current lanes as instances, built on first read.
         t: 0-based current step (shared by all lanes).
         num_lanes: ``B``.
         num_processors: the padded processor count ``m``.
@@ -109,7 +115,8 @@ class BatchVectorState(JobTableState):
     """
 
     __slots__ = (
-        "instances",
+        "selection",
+        "_lanes",
         "t",
         "num_lanes",
         "num_resources",
@@ -133,21 +140,34 @@ class BatchVectorState(JobTableState):
         "_all_released",
     )
 
-    def __init__(self, instances: Sequence[Instance]) -> None:
-        if not instances:
+    #: Lane-indexed arrays that :meth:`compact` slices.
+    _PER_LANE = (
+        "_lanes", "lane_num_processors", "lane_num_resources", "num_jobs",
+        "done", "_req", "_work", "_wgt", "_dl", "_release", "_released",
+        "remaining", "active_requirements", "active_weights",
+        "active_deadlines", "resource_spent",
+    )
+
+    def __init__(self, instances: Sequence[Instance] | BagSelection) -> None:
+        if not isinstance(instances, BagSelection):
+            instances = BagSelection.of(instances)
+        self.num_lanes = len(instances.queues)
+        if not self.num_lanes:
             raise BackendError("batch state needs at least one instance")
-        self.instances = tuple(instances)
+        self.selection = instances
+        self._lanes = np.arange(self.num_lanes)
         self.t = 0
-        self.num_lanes = len(instances)
-        self.num_jobs, self._release, jobs, self._reqk = job_tables(self.instances)
-        self.num_resources = max(inst.num_resources for inst in instances)
-        self.lane_num_processors = np.array(
-            [inst.num_processors for inst in instances], dtype=np.int64
-        )
-        self.lane_num_resources = np.array(
-            [inst.num_resources for inst in instances], dtype=np.int64
-        )
+        self.num_jobs, self._release, jobs, self._reqk = instances.tables()
+        self.lane_num_processors = np.array([len(lane) for lane in instances.queues])
+        self.lane_num_resources = np.array(instances.lane_num_resources)
+        self.num_resources = int(self.lane_num_resources.max())
         self._start_views(jobs)
+
+    @property
+    def instances(self) -> tuple[Instance, ...]:
+        """The current lanes' instances, in lane order."""
+        built = self.selection.instances
+        return tuple(built[b] for b in self._lanes)
 
     @property
     def lane_done(self) -> np.ndarray:
@@ -174,24 +194,10 @@ class BatchVectorState(JobTableState):
         idx = np.flatnonzero(keep)
         if not idx.size:
             raise BackendError("compaction must keep at least one lane")
-        self.instances = tuple(self.instances[int(b)] for b in idx)
         self.num_lanes = int(idx.size)
-        self.lane_num_processors = self.lane_num_processors[idx]
-        self.lane_num_resources = self.lane_num_resources[idx]
-        self.num_jobs = self.num_jobs[idx]
-        self.done = self.done[idx]
-        self._req = self._req[idx]
-        self._work = self._work[idx]
-        self._wgt = self._wgt[idx]
-        self._dl = self._dl[idx]
-        self._release = self._release[idx]
-        self._released = self._released[idx]
+        for name in self._PER_LANE:
+            setattr(self, name, getattr(self, name)[idx])
         self._all_released = bool(self._released.all())
-        self.remaining = self.remaining[idx]
-        self.active_requirements = self.active_requirements[idx]
-        self.active_weights = self.active_weights[idx]
-        self.active_deadlines = self.active_deadlines[idx]
-        self.resource_spent = self.resource_spent[idx]
         if self._reqk is None:
             # The k == 1 share-matrix view aliases active_requirements;
             # slicing produced a fresh array, so rebuild the view.
@@ -216,16 +222,28 @@ class _LaneView:
 
     __slots__ = ("_s", "_b", "_m", "_k")
 
+    #: ``(m,)`` per-processor arrays, read as the lane's real prefix.
+    _ARRAYS = frozenset(
+        "num_jobs done remaining active_requirements active_weights active_deadlines "
+        "active_mask pending_mask released_mask jobs_remaining".split()
+    )
+
     def __init__(self, state: BatchVectorState, b: int) -> None:
         self._s = state
         self._b = b
         self._m = int(state.lane_num_processors[b])
         self._k = int(state.lane_num_resources[b])
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in _LaneView._ARRAYS:
+            raise AttributeError(name)
+        return getattr(self._s, name)[self._b, : self._m]
+
     @property
     def instance(self) -> Instance:
         """The lane's original :class:`~repro.core.instance.Instance`."""
-        return self._s.instances[self._b]
+        state = self._s
+        return state.selection.instances[state._lanes[self._b]]
 
     @property
     def t(self) -> int:
@@ -243,26 +261,6 @@ class _LaneView:
         return self._k
 
     @property
-    def num_jobs(self) -> np.ndarray:
-        """``(m,)`` per-processor job counts."""
-        return self._s.num_jobs[self._b, : self._m]
-
-    @property
-    def done(self) -> np.ndarray:
-        """``(m,)`` per-processor completed-job counts."""
-        return self._s.done[self._b, : self._m]
-
-    @property
-    def remaining(self) -> np.ndarray:
-        """``(m,)`` remaining work of each active job."""
-        return self._s.remaining[self._b, : self._m]
-
-    @property
-    def active_requirements(self) -> np.ndarray:
-        """``(m,)`` bottleneck requirements of the active jobs."""
-        return self._s.active_requirements[self._b, : self._m]
-
-    @property
     def active_req_matrix(self) -> np.ndarray:
         """``(k, m)`` per-resource requirements of the active jobs."""
         if self._k == 1:
@@ -270,39 +268,9 @@ class _LaneView:
         return self._s.active_req_matrix[self._b, : self._k, : self._m]
 
     @property
-    def active_weights(self) -> np.ndarray:
-        """``(m,)`` objective weights of the active jobs."""
-        return self._s.active_weights[self._b, : self._m]
-
-    @property
-    def active_deadlines(self) -> np.ndarray:
-        """``(m,)`` due steps of the active jobs (``inf`` if none)."""
-        return self._s.active_deadlines[self._b, : self._m]
-
-    @property
     def resource_spent(self) -> np.ndarray:
         """``(k,)`` cumulative resource-time consumed."""
         return self._s.resource_spent[self._b, : self._k]
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        """``(m,)`` mask of released processors with unfinished jobs."""
-        return self._s.active_mask[self._b, : self._m]
-
-    @property
-    def pending_mask(self) -> np.ndarray:
-        """``(m,)`` mask of processors with unfinished jobs."""
-        return self._s.pending_mask[self._b, : self._m]
-
-    @property
-    def released_mask(self) -> np.ndarray:
-        """``(m,)`` mask of released processors."""
-        return self._s.released_mask[self._b, : self._m]
-
-    @property
-    def jobs_remaining(self) -> np.ndarray:
-        """``(m,)`` remaining job counts."""
-        return self._s.jobs_remaining[self._b, : self._m]
 
 
 @dataclass(slots=True)
@@ -343,10 +311,11 @@ class BatchVectorRuntime:
     """Step ``B`` instances through one policy with shared array programs.
 
     Args:
-        instances: the batch, one lane per instance (ragged batches --
-            mixed processor counts, queue lengths, resource counts,
-            releases -- are padded; mixed makespans terminate lanes
-            early).
+        instances: the batch, one lane per instance, or a
+            :class:`~repro.backends.vector.BagSelection` of row-id
+            lanes (ragged batches -- mixed processor counts, queue
+            lengths, resource counts, releases -- are padded; mixed
+            makespans terminate lanes early).
         policy: the policy (registry name or object).  Must support
             the vector path; lanes fall back to per-lane
             ``shares_array`` stepping unless it also implements
@@ -360,7 +329,7 @@ class BatchVectorRuntime:
 
     def __init__(
         self,
-        instances: Sequence[Instance],
+        instances: Sequence[Instance] | BagSelection,
         policy,
         *,
         tol: float = 1e-9,
@@ -564,10 +533,9 @@ class BatchVectorRuntime:
         state = self.state
         B = state.num_lanes
         m = state.num_processors
-        instances = state.instances
         if max_steps is None:
             limits = np.array(
-                [default_step_limit(inst) for inst in instances],
+                [default_step_limit(inst) for inst in state.instances],
                 dtype=np.int64,
             )
         else:
@@ -662,20 +630,10 @@ class BatchVectorRuntime:
                 live = np.ones(state.num_lanes, dtype=bool)
                 compactions += 1
         objectives_start = perf_counter() if session is not None else 0.0
-        objective_values = {obj.name: [] for obj in objectives}
-        if objectives:
-            for b, inst in enumerate(instances):
-                rows = finish[b].tolist()
-                done = {
-                    (i, j): t
-                    for i, queue in enumerate(inst.queues)
-                    for j, t in enumerate(rows[i][: len(queue)])
-                }
-                makespan = int(makespans[b])
-                for obj in objectives:
-                    objective_values[obj.name].append(
-                        obj.value_from_completions(inst, done, makespan)
-                    )
+        objective_values = {
+            obj.name: obj.batch_values(state.selection, finish, makespans)
+            for obj in objectives
+        }
         end = perf_counter()
         wall = end - t0
         result = BatchRunResult(
@@ -727,7 +685,7 @@ class BatchVectorRuntime:
 
 
 def run_batch(
-    instances: Sequence[Instance],
+    instances: Sequence[Instance] | BagSelection,
     policy,
     *,
     objectives: Iterable = (),

@@ -31,9 +31,13 @@ float rows independently with the same tolerance.
 
 from __future__ import annotations
 
+import math
+from itertools import chain
+
 import numpy as np
 
 from ..core.instance import Instance
+from ..core.job import Job
 from ..core.kernel import (
     CompletionRecorder,
     KernelRuntime,
@@ -48,7 +52,7 @@ from ..exceptions import (
 )
 from .base import Backend, BackendResult, backend_run_span, resolve_objectives
 
-__all__ = ["VectorState", "VectorRuntime", "VectorBackend"]
+__all__ = ["VectorState", "VectorRuntime", "VectorBackend", "JobBag", "BagSelection"]
 
 
 class JobTableState:
@@ -415,14 +419,157 @@ class VectorState(JobTableState):
         if self._reqk is not None:
             self._reqk = _widened(self._reqk, capacity, 0.0)
 
-def job_tables(instances: tuple[Instance, ...]) -> tuple:
-    """Build the padded per-job tables of *instances*, one lane per instance.
 
+class JobBag:
+    """The distinct jobs of a batch as rows of one float table.
+
+    Each distinct job (by ``Job.__eq__``) gets one row id, in
+    first-seen order, so equal jobs share an id and id tuples compare
+    exactly as instance queues do.  The table ends in the sentinel
+    column, id ``-1``: the empty job of :func:`job_tables`.
+    :meth:`select` makes a batch of row-id lanes, with no ``Instance``
+    or ``Job`` per lane.
+    """
+
+    __slots__ = ("jobs", "_ids", "_rows", "_table", "_weights")
+
+    def __init__(self) -> None:
+        self.jobs: list[Job] = []
+        self._ids: dict[Job, int] = {}
+        self._rows: list[tuple[float, float, float, float]] = []
+        self._table = self._weights = None
+
+    def ids(self, queue) -> tuple[int, ...]:
+        """Row ids of *queue*'s jobs, adding the jobs not seen yet."""
+        out = []
+        for job in queue:
+            row = self._ids.get(job)
+            if row is None:
+                row = self._ids[job] = len(self.jobs)
+                self.jobs.append(job)
+                req = float(job.requirement)
+                work = req if job.size == 1 else float(job.work)
+                dl = np.inf if job.deadline is None else float(job.deadline)
+                self._rows.append((req, work, float(job.weight), dl))
+                self._table = self._weights = None
+            out.append(row)
+        return tuple(out)
+
+    def table(self) -> np.ndarray:
+        """``(4, R + 1)`` requirement / work / weight / deadline rows."""
+        if self._table is None:
+            self._table = np.array(self._rows + [(0.0, 0.0, 0.0, np.inf)]).T.copy()
+        return self._table
+
+    def weight_grid(self) -> tuple[np.ndarray | None, int]:
+        """Exact weights as ``(numerators, d)``: weight = numerator / d.
+
+        Int64 numerators end in the sentinel's 0 (``None`` on overflow).
+        """
+        if self._weights is None:
+            ratios = [job.weight.as_integer_ratio() for job in self.jobs]
+            d = math.lcm(*(q for _, q in ratios))
+            num = [p * (d // q) for p, q in ratios] + [0]
+            self._weights = (np.array(num) if max(num) < 2**63 else None, d)
+        return self._weights
+
+    def select(self, queues, releases) -> "BagSelection":
+        """The lanes *queues* (per lane, per-queue id tuples) over this bag."""
+        return BagSelection(self, queues, releases)
+
+
+class BagSelection:
+    """A batch of lanes over one :class:`JobBag`.
+
+    Attributes:
+        bag: the bag the row ids index.
+        queues: per lane, a tuple of per-queue row-id tuples.
+        releases: per lane, the per-processor release steps.
+    """
+
+    __slots__ = ("bag", "queues", "releases", "_instances", "_ids")
+
+    def __init__(self, bag: JobBag, queues, releases, instances=None) -> None:
+        self.bag, self.queues, self.releases = bag, queues, releases
+        self._instances = instances
+        self._ids = None
+
+    @classmethod
+    def of(cls, instances) -> "BagSelection":
+        """The lanes of *instances* over a bag of their jobs."""
+        instances = tuple(instances)
+        bag = JobBag()
+        queues = [[bag.ids(q) for q in inst.queues] for inst in instances]
+        return cls(bag, queues, [inst.releases for inst in instances], instances)
+
+    @property
+    def instances(self) -> tuple[Instance, ...]:
+        """The lanes as instances (built on first read)."""
+        if self._instances is None:
+            jobs = self.bag.jobs
+            self._instances = tuple(
+                Instance([[jobs[r] for r in q] for q in lane], releases=rel)
+                for lane, rel in zip(self.queues, self.releases)
+            )
+        return self._instances
+
+    @property
+    def lane_num_resources(self) -> list[int]:
+        """Per lane, the resource count ``k`` of its jobs."""
+        jobs = self.bag.jobs
+        return [len(jobs[lane[0][0]].requirements) for lane in self.queues]
+
+    def row_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(num_jobs, release, ids)`` for the batch maxima ``m`` and ``n``.
+
+        ``(B, m)`` int64 job counts and release steps, and the
+        ``(B, m, n + 1)`` row ids, padded with the sentinel id ``-1``.
+        """
+        if self._ids is None:
+            m = max(map(len, self.queues))
+            width = max(len(q) for lane in self.queues for q in lane) + 1
+            pad, empty = (-1,) * width, ((),) * m
+            rows = [
+                tuple(q) + pad[len(q):]
+                for lane in self.queues
+                for q in (lane if len(lane) == m else tuple(lane) + empty[len(lane):])
+            ]
+            shape = (len(self.queues), m)
+            ids = np.fromiter(chain.from_iterable(rows), np.intp, len(rows) * width)
+            release = [tuple(r) + (0,) * (m - len(r)) for r in self.releases]
+            num_jobs = np.array([width - r.count(-1) for r in rows]).reshape(shape)
+            self._ids = (num_jobs, np.array(release, np.int64), ids.reshape(shape + (width,)))
+        return self._ids
+
+    def tables(self) -> tuple:
+        """The lanes' tables, as :func:`job_tables` returns them.
+
+        ``np.take`` along an axis allocates C order; the step loop's
+        flat ``take`` calls would copy a strided table every step.
+        """
+        num_jobs, release, ids = self.row_ids()
+        table = self.bag.table()
+        jobs = np.take(table, ids, axis=1)
+        k = max(self.lane_num_resources)
+        reqk = None
+        if k > 1:
+            reqs = np.zeros((k, table.shape[1]))
+            for row, job in enumerate(self.bag.jobs):
+                reqs[: len(job.requirements), row] = [float(r) for r in job.requirements]
+            reqk = np.ascontiguousarray(np.take(reqs, ids, axis=1).swapaxes(0, 1))
+        return num_jobs, release, jobs, reqk
+
+
+def job_tables(instances) -> tuple:
+    """The padded per-job tables of a batch, one lane per instance.
+
+    *instances* is a sequence of instances or a :class:`BagSelection`.
     Returns ``(num_jobs, release, jobs, reqk)``: ``(B, m)`` int64 job
-    counts and release steps, the ``(4, B, m, n + 1)`` float64 block
-    of requirement / work / weight / deadline tables, and the
+    counts and release steps, the ``(4, B, m, n + 1)`` float64
+    requirement / work / weight / deadline tables, and the
     ``(B, k, m, n + 1)`` per-resource requirements (``None`` when
-    ``k == 1``), for the batch maxima ``m``, ``n`` and ``k``.  The one
+    ``k == 1``), for the batch maxima ``m``, ``n`` and ``k``: a
+    :class:`JobBag` of the jobs, then one gather of its rows.  The one
     table layout of :class:`VectorState` (``B == 1``) and
     :class:`~repro.backends.batched.BatchVectorState`.
 
@@ -432,72 +579,10 @@ def job_tables(instances: tuple[Instance, ...]) -> tuple:
     resource rows.  Loading column ``done`` of a drained queue
     therefore zeroes its active slot with no branch (see
     :meth:`JobTableState.advance`).
-
-    Neighborhood batches permute one bag of job objects, and each move
-    touches at most two queues, so float conversions are memoized per
-    job, row indices per queue, and the tables fill with one scatter
-    per field.
     """
-    B = len(instances)
-    m = max(inst.num_processors for inst in instances)
-    width = max(inst.max_jobs for inst in instances) + 1
-    k = max(inst.num_resources for inst in instances)
-    num_jobs = np.zeros((B, m), dtype=np.int64)
-    release = np.zeros((B, m), dtype=np.int64)
-    reqk = None if k == 1 else np.zeros((B, k, m, width))
-    rows: dict[int, int] = {}
-    table: list[tuple[float, float, float, float]] = []
-    table_k: list[tuple[float, ...]] = []
-    q_rows: dict[tuple, np.ndarray] = {}
-    slots: list[int] = []  # b * m + i, one entry per queue
-    counts: list[int] = []
-    releases: list[int] = []
-    parts: list[np.ndarray] = []
-    for b, inst in enumerate(instances):
-        releases.extend(inst.releases)
-        for i, queue in enumerate(inst.queues):
-            # Keyed by job identity: hashing the tuple itself would call
-            # Job.__hash__ once per job.
-            key = tuple(map(id, queue))
-            ri_q = q_rows.get(key)
-            if ri_q is None:
-                idxs = []
-                for job in queue:
-                    row = rows.get(id(job))
-                    if row is None:
-                        row = len(table)
-                        rows[id(job)] = row
-                        table.append(
-                            (
-                                float(job.requirement),
-                                float(job.work),
-                                float(job.weight),
-                                np.inf if job.deadline is None else float(job.deadline),
-                            )
-                        )
-                        if reqk is not None:
-                            reqs = tuple(float(r) for r in job.requirements)
-                            table_k.append(reqs + (0.0,) * (k - len(reqs)))
-                    idxs.append(row)
-                ri_q = np.array(idxs, dtype=np.intp)
-                q_rows[key] = ri_q
-            slots.append(b * m + i)
-            counts.append(len(queue))
-            parts.append(ri_q)
-    num_jobs.put(slots, counts)
-    release.put(slots, releases)
-    # Flat table indices s * width + j of every job j on every slot s,
-    # in the slot order of parts.
-    at = (np.arange(width) < num_jobs.reshape(-1, 1)).ravel().nonzero()[0]
-    ri = np.concatenate(parts)
-    # One block holds the four tables; deadlines default to inf.
-    fields = np.zeros((4, B * m * width))
-    fields[3] = np.inf
-    fields[:, at] = np.array(table)[ri].T
-    if reqk is not None:
-        bi, ii, ji = np.unravel_index(at, (B, m, width))
-        reqk[bi, :, ii, ji] = np.array(table_k, dtype=np.float64)[ri]
-    return num_jobs, release, fields.reshape(4, B, m, width), reqk
+    if not isinstance(instances, BagSelection):
+        instances = BagSelection.of(instances)
+    return instances.tables()
 
 
 def _widened(table: np.ndarray, capacity: int, fill: float) -> np.ndarray:

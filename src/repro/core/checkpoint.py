@@ -43,7 +43,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..exceptions import CheckpointError
+from ..exceptions import CheckpointError, InvalidInstanceError
 from .instance import Instance
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -176,6 +176,8 @@ class KernelCheckpoint:
             )
         try:
             instance = instance_from_dict(data["instance"])
+        except InvalidInstanceError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"checkpoint carries a malformed instance: {exc}"

@@ -43,6 +43,7 @@ via :meth:`Instance.require_single_resource`.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -75,8 +76,8 @@ class Instance:
     Raises:
         InvalidInstanceError: if there are no processors, any processor
             has an empty job sequence, the jobs disagree on the number
-            of shared resources, or a release time is negative or
-            mis-shaped.  (The paper allows ``n_i >= 1`` implicitly; an
+            of shared resources, or a release time is not an integer,
+            negative or mis-shaped.  (The paper allows ``n_i >= 1`` implicitly; an
             idle processor adds nothing to the problem and would break
             several notational conventions, so we reject it at
             construction.)
@@ -87,7 +88,7 @@ class Instance:
         (2, 2, 1)
     """
 
-    __slots__ = ("_queues", "_releases", "_k", "_hash")
+    __slots__ = ("_queues", "_releases", "_k")
 
     def __init__(
         self,
@@ -123,7 +124,10 @@ class Instance:
         if releases is None:
             self._releases: tuple[int, ...] = (0,) * len(built)
         else:
-            rel = tuple(int(r) for r in releases)
+            try:
+                rel = tuple(int(r) for r in releases)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInstanceError(f"release times must be integers: {exc}") from exc
             if len(rel) != len(built):
                 raise InvalidInstanceError(
                     f"releases has {len(rel)} entries for {len(built)} processors"
@@ -133,7 +137,6 @@ class Instance:
                     f"release times must be non-negative, got {rel}"
                 )
             self._releases = rel
-        self._hash: int | None = None
 
     # ------------------------------------------------------------------
     # Basic shape
@@ -529,23 +532,7 @@ class Instance:
         :class:`~repro.sequencing.Sequencer` must preserve (reordering
         decides *when and where*, never *what*).
         """
-        def key(job: Job):
-            """Total-order key over the compared job attributes.
-
-            ``None`` deadlines sort after every concrete step
-            (comparing ``None`` with ``int`` directly would raise).
-            """
-            return (
-                job.requirements,
-                job.size,
-                job.weight,
-                job.deadline is None,
-                job.deadline or 0,
-            )
-
-        return sorted(map(key, self.job_bag())) == sorted(
-            map(key, other.job_bag())
-        )
+        return Counter(self.job_bag()) == Counter(other.job_bag())
 
     def with_queues(
         self, queues: Iterable[Iterable[Job | Num]]
@@ -602,7 +589,6 @@ class Instance:
         m = len(self._queues)
         grown = Instance.__new__(Instance)
         grown._k = self._k
-        grown._hash = None
         if processor == m:
             rel = 0 if release is None else int(release)
             if rel < 0:
@@ -706,9 +692,7 @@ class Instance:
         return self._queues == other._queues and self._releases == other._releases
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._queues, self._releases))
-        return self._hash
+        return hash((self._queues, self._releases))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         rows = ", ".join(

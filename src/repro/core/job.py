@@ -63,6 +63,14 @@ __all__ = ["Job", "JobId"]
 JobId = tuple[int, int]
 
 
+def _finite(value: Num, field: str) -> Fraction:
+    """*value* as a Fraction; non-finite numbers violate the model."""
+    try:
+        return to_frac(value)
+    except ValueError as exc:
+        raise InvalidInstanceError(f"job {field} must be a finite number: {exc}") from exc
+
+
 @dataclass(frozen=True, slots=True)
 class Job:
     """One job: per-resource requirements in ``[0,1]`` and a positive size.
@@ -86,8 +94,9 @@ class Job:
 
     Raises:
         InvalidInstanceError: if any requirement is outside ``[0,1]``,
-            the requirement vector is empty, the size or weight is not
-            positive, or the deadline is not ``None`` and < 1.
+            the requirement vector is empty, a requirement, the size or
+            the weight is not a finite number, the size or weight is
+            not positive, or the deadline is not ``None`` and < 1.
 
     Example:
         >>> Job("1/3")                      # single resource
@@ -107,8 +116,8 @@ class Job:
     #: equality/hash.
     requirement: Fraction = field(compare=False)
     #: Memoized :func:`hash` -- ``Fraction`` hashing is slow and the
-    #: same ``Job`` objects recur across candidate orders in the
-    #: sequencing layer's memoized evaluation cache.
+    #: same ``Job`` objects recur in every job table built over them
+    #: (:class:`~repro.backends.vector.JobBag` keys its rows by job).
     _hash: int | None = field(compare=False, repr=False)
 
     def __init__(
@@ -120,24 +129,24 @@ class Job:
         deadline: int | None = None,
     ) -> None:
         if isinstance(requirement, (tuple, list)):
-            reqs = tuple(to_frac(r) for r in requirement)
+            reqs = tuple(_finite(r, "requirement") for r in requirement)
             if not reqs:
                 raise InvalidInstanceError(
                     "a job needs at least one resource requirement"
                 )
         else:
-            reqs = (to_frac(requirement),)
+            reqs = (_finite(requirement, "requirement"),)
         for req in reqs:
             if not (ZERO <= req <= ONE):
                 raise InvalidInstanceError(
                     f"job requirement must be in [0, 1], got {format_frac(req)}"
                 )
-        sz = to_frac(size)
+        sz = _finite(size, "size")
         if sz <= ZERO:
             raise InvalidInstanceError(
                 f"job size must be positive, got {format_frac(sz)}"
             )
-        wgt = to_frac(weight)
+        wgt = _finite(weight, "weight")
         if wgt <= ZERO:
             raise InvalidInstanceError(
                 f"job weight must be positive, got {format_frac(wgt)}"

@@ -32,11 +32,13 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
-class InvalidInstanceError(ReproError):
+class InvalidInstanceError(ReproError, ValueError):
     """An :class:`~repro.core.instance.Instance` violates the model.
 
-    Examples: a resource requirement outside ``[0, 1]``, a non-positive
-    processing volume, or an empty system (no processors).
+    Examples: a resource requirement outside ``[0, 1]``, a non-finite
+    or non-positive processing volume, a non-integer release time, or
+    an empty system (no processors).  Also a ``ValueError``, so callers
+    that catch the builtin keep working.
     """
 
 

@@ -42,6 +42,7 @@ from ..exceptions import UnknownObjectiveError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..backends.base import BackendResult
+    from ..backends.vector import BagSelection
     from ..core.schedule import Schedule
 
 __all__ = [
@@ -85,6 +86,25 @@ class Objective(ABC):
         step count; it defaults to ``max(step) + 1`` -- exact for
         complete runs, which end in the step finishing the last job.
         """
+
+    def batch_values(self, selection: "BagSelection", finish, makespans) -> list:
+        """The objective on every lane of a batched run.
+
+        *finish* holds the ``(B, m, n + 1)`` completion steps of the
+        lanes in *selection*, *makespans* their ``(B,)`` step counts.
+        One :meth:`value_from_completions` per lane; array reductions
+        override it with the same values.
+        """
+        values = []
+        for b, inst in enumerate(selection.instances):
+            rows = finish[b].tolist()
+            done = {
+                (i, j): t
+                for i, queue in enumerate(inst.queues)
+                for j, t in enumerate(rows[i][: len(queue)])
+            }
+            values.append(self.value_from_completions(inst, done, int(makespans[b])))
+        return values
 
     @abstractmethod
     def lower_bound(self, instance: Instance):

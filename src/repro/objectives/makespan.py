@@ -41,6 +41,10 @@ class Makespan(Objective):
             return max(completion_steps.values(), default=-1) + 1
         return makespan
 
+    def batch_values(self, selection, finish, makespans) -> list[int]:
+        """The lanes' step counts."""
+        return makespans.tolist()
+
     def lower_bound(self, instance: Instance) -> int:
         """Observation 1 + release/length refinements (the paper's bound)."""
         return instance.makespan_lower_bound()

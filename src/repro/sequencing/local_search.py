@@ -15,6 +15,15 @@ the makespan objective, because the evaluation loop is the hot path
 loop stays well ahead of exact ``Fraction`` re-evaluation; the final
 accepted order can always be re-audited exactly).
 
+Candidates are row ids, not instances: one
+:class:`~repro.backends.vector.JobBag` per search gives each distinct
+job an id, moves permute per-queue id lists, the evaluation cache is
+keyed by id tuples, and a batch of neighbors reaches the batched
+engine as one :class:`~repro.backends.vector.BagSelection`.  Equal jobs
+share an id, so every move, cache hit and acceptance is the one the
+``Instance`` form would make; an ``Instance`` is built only for a
+single-lane evaluation and for the returned order.
+
 Determinism: the search is seeded, and *restarts* draw from
 decorrelated seed streams (``seed + r * offset``), mirroring the
 campaign generators' stream discipline -- each restart perturbs the
@@ -26,11 +35,12 @@ from __future__ import annotations
 
 import copy
 import random
+from itertools import chain
 from time import perf_counter
 
+from ..backends.vector import JobBag
 from ..core.checkpoint import KernelCheckpoint, checkpoint_run
 from ..core.instance import Instance
-from ..core.job import Job
 from ..core.kernel import CompletionRecorder, StepObserver, run_kernel
 from ..exceptions import SequencingError
 from .base import Sequencer, register_sequencer
@@ -105,21 +115,16 @@ class LocalSearchSequencer(Sequencer):
         seed: base seed of the move streams.
         max_steps: per-evaluation safety limit forwarded to the
             backend (``None`` = the backend's default).
-        batch_lanes: candidate orders evaluated per batched kernel
-            call.  The default ``1`` keeps the classic sequential
-            hill-climb (evaluate one neighbor, accept if strictly
-            better) bit-identical to earlier releases.  With
-            ``batch_lanes > 1`` each iteration draws up to that many
-            neighbors of the incumbent and evaluates the whole batch
-            through one
+        batch_lanes: neighbors drawn and evaluated per iteration.
+            The default ``1`` is the classic sequential hill-climb
+            (evaluate one neighbor, accept if strictly better).  With
+            ``batch_lanes > 1`` the batch runs through one
             :class:`~repro.backends.batched.BatchVectorRuntime` array
-            program (when the backend is ``"vector"``; other backends
-            evaluate the batch lane by lane), accepting the best
-            strictly-improving candidate -- a different (but equally
-            deterministic) search trajectory that trades per-candidate
-            acceptance sharpness for an order-of-magnitude higher
-            evals/s (``benchmarks/bench_batched_evals.py`` gates the
-            factor).
+            program (vector backend; other backends evaluate lane by
+            lane) and the best strictly-improving candidate wins -- a
+            different, equally deterministic trajectory with an
+            order-of-magnitude higher evals/s
+            (``benchmarks/bench_batched_evals.py`` gates the factor).
         prefix_cache: resume candidate evaluations from
             :class:`~repro.core.checkpoint.KernelCheckpoint` snapshots
             taken along the incumbent's run, at the deepest completion
@@ -129,10 +134,9 @@ class LocalSearchSequencer(Sequencer):
             simulation is shared work.  ``None`` (the default)
             auto-enables on the sequential vector path
             (``batch_lanes == 1``, vector backend, vector-capable
-            policy); ``True``/``False`` force
-            it.  Resumed evaluations are bit-identical to fresh ones
-            (the checkpoint layer's contract), so the search
-            trajectory does not change -- only its cost.
+            policy); ``True``/``False`` force it.  Resumed evaluations
+            are bit-identical to fresh ones (the checkpoint layer's
+            contract): only the cost changes.
 
     Attributes:
         last_stats: after each :meth:`sequence` call, a dict with the
@@ -212,10 +216,15 @@ class LocalSearchSequencer(Sequencer):
         self.batch_lanes = int(batch_lanes)
         self.prefix_cache = prefix_cache
         self.last_stats: dict[str, object] = {}
-        # Per-sequence() evaluation cache and counters (reset each call).
-        self._cache: dict[Instance, object] = {}
+        # Per-sequence() evaluation cache (keyed by row-id orders over
+        # the call's job bag) and counters, reset each call.
+        self._cache: dict[tuple, object] = {}
         self._counts: dict[str, int] = {}
         self._step_limit: int | None = None
+        # The call's job bag, instance and starting order (row ids).
+        self._bag: JobBag | None = None
+        self._base: Instance | None = None
+        self._start: tuple = ()
         # Prefix-resume state: (incumbent queues, its checkpoints) and
         # the capture handoff slot of the latest promotion re-run.
         self._prefix_active = False
@@ -268,27 +277,36 @@ class LocalSearchSequencer(Sequencer):
         )
         return result.objective_values[self.objective.name]
 
-    def _evaluate_cached(self, instance: Instance):
-        """Memoized :meth:`evaluate` (key = the canonical order).
+    def _instance(self, key) -> Instance:
+        """The order *key* (per-queue row ids) as an instance."""
+        if key == self._start:
+            return self._base
+        jobs = self._bag.jobs
+        return self._base.with_queues([[jobs[r] for r in q] for q in key])
 
-        :class:`~repro.core.instance.Instance` hashes and compares by
-        its queue contents and release times, so an instance *is* its
-        canonical order key: restarts and revisited neighbors hit the
-        cache instead of re-running the kernel.  The cache lives for
-        one :meth:`sequence` call.  With the prefix cache active,
-        misses run through :meth:`_evaluate_prefix` (same values,
-        resumed mid-run when a checkpoint of the incumbent applies).
+    def _evaluate_cached(self, key: tuple):
+        """Memoized single-lane :meth:`evaluate` of the order *key*.
+
+        Keys are per-queue row-id tuples over the call's
+        :class:`~repro.backends.vector.JobBag`; equal jobs share an id,
+        so keys compare exactly as instances do, and restarts and
+        revisited neighbors hit the cache instead of re-running the
+        kernel.  The cache lives for one :meth:`sequence` call.  A miss
+        builds the order's instance; with the prefix cache active it
+        runs through :meth:`_kernel_eval` (same values, resumed mid-run
+        when a checkpoint of the incumbent applies).
         """
-        value = self._cache.get(instance, _MISSING)
+        value = self._cache.get(key, _MISSING)
         if value is not _MISSING:
             self._counts["cache_hits"] += 1
             return value
+        candidate = self._instance(key)
         if self._prefix_active:
-            value = self._evaluate_prefix(instance)
+            value = self._kernel_eval(candidate, key, capture=False)
         else:
-            value = self.evaluate(instance)
+            value = self.evaluate(candidate)
         self._counts["kernel_runs"] += 1
-        self._cache[instance] = value
+        self._cache[key] = value
         return value
 
     # ------------------------------------------------------------------
@@ -327,8 +345,8 @@ class LocalSearchSequencer(Sequencer):
         return bool(self.prefix_cache)
 
     @staticmethod
-    def _queues_key(queues) -> tuple:
-        return tuple(tuple(q) for q in queues)
+    def _key(queues) -> tuple:
+        return tuple(map(tuple, queues))
 
     @staticmethod
     def _prefix_bounds(ref_key: tuple, cand_key: tuple) -> list | None:
@@ -347,16 +365,15 @@ class LocalSearchSequencer(Sequencer):
         for rq, cq in zip(ref_key, cand_key):
             if len(rq) != len(cq):
                 return None
-            if rq == cq:
-                bounds.append(None)
-                continue
-            d = 0
-            for a, b in zip(rq, cq):
-                if a != b:
-                    break
-                d += 1
-            bounds.append(d)
+            diverge = (d for d, (a, b) in enumerate(zip(rq, cq)) if a != b)
+            bounds.append(next(diverge, None))
         return bounds
+
+    @staticmethod
+    def _inside(point: KernelCheckpoint, bounds: list) -> bool:
+        """Whether *point* started only jobs inside the prefix *bounds*."""
+        done = point.state["done"]
+        return all(d is None or done[i] < d for i, d in enumerate(bounds))
 
     def _best_resume_point(self, cand_key: tuple) -> KernelCheckpoint | None:
         """Deepest incumbent checkpoint valid for the candidate order.
@@ -372,17 +389,10 @@ class LocalSearchSequencer(Sequencer):
         bounds = self._prefix_bounds(ref_key, cand_key)
         if bounds is None:
             return None
-        constrained = [
-            (i, d) for i, d in enumerate(bounds) if d is not None
-        ]
-        for point in reversed(points):
-            done = point.state["done"]
-            if all(done[i] < d for i, d in constrained):
-                return point
-        return None
+        return next((p for p in reversed(points) if self._inside(p, bounds)), None)
 
-    def _kernel_eval(self, candidate: Instance, *, capture: bool):
-        """One direct kernel run of *candidate*, resumed if possible.
+    def _kernel_eval(self, candidate: Instance, cand_key: tuple, *, capture: bool):
+        """One direct kernel run of *candidate* (order *cand_key*), resumed if possible.
 
         Bit-identical to :meth:`evaluate` on the vector backend: the
         restored state is on the candidate's own trajectory (see
@@ -395,7 +405,6 @@ class LocalSearchSequencer(Sequencer):
         from ..backends.vector import VectorRuntime  # local: builds on core
         from ..core.simulator import default_step_limit
 
-        cand_key = self._queues_key(candidate.queues)
         rt = VectorRuntime(candidate, tol=getattr(self.backend, "tol", 1e-9))
         completions = CompletionRecorder()
         point = self._best_resume_point(cand_key)
@@ -425,12 +434,8 @@ class LocalSearchSequencer(Sequencer):
             candidate, completions.completion_steps, makespan
         )
 
-    def _evaluate_prefix(self, candidate: Instance):
-        """Resumable (but snapshot-free) candidate evaluation."""
-        return self._kernel_eval(candidate, capture=False)
-
-    def _promote_ref(self, candidate: Instance) -> None:
-        """Make *candidate* (the new climb incumbent) the resume reference.
+    def _promote_ref(self, key: tuple) -> None:
+        """Make the order *key* (the new climb incumbent) the resume reference.
 
         Re-runs the incumbent once with completion-boundary snapshots
         enabled -- itself resumed from the outgoing reference, so the
@@ -446,62 +451,55 @@ class LocalSearchSequencer(Sequencer):
         """
         if not self._prefix_active:
             return
-        key = self._queues_key(candidate.queues)
         old = self._ref
         if old is not None and old[0] == key:
             return
         self._promoted = None
-        self._kernel_eval(candidate, capture=True)
+        self._kernel_eval(self._instance(key), key, capture=True)
         promoted_key, points = self._promoted
         assert promoted_key == key
-        if old is not None:
-            bounds = self._prefix_bounds(old[0], key)
-            if bounds is not None:
-                constrained = [
-                    (i, d) for i, d in enumerate(bounds) if d is not None
-                ]
-                have = {p.t for p in points}
-                carried = [
-                    p
-                    for p in old[1]
-                    if p.t not in have
-                    and all(p.state["done"][i] < d for i, d in constrained)
-                ]
-                if carried:
-                    points = sorted(carried + points, key=lambda p: p.t)
+        bounds = None if old is None else self._prefix_bounds(old[0], key)
+        if bounds is not None:
+            have = {p.t for p in points}
+            carried = [
+                p for p in old[1] if p.t not in have and self._inside(p, bounds)
+            ]
+            if carried:
+                points = sorted(carried + points, key=lambda p: p.t)
         self._ref = (key, points[-_MAX_PREFIX_POINTS:])
 
-    def _evaluate_many(self, candidates: list[Instance]) -> list:
-        """Evaluate a candidate batch, cache-aware and deduplicated.
+    def _evaluate_many(self, keys: list[tuple]) -> list:
+        """Evaluate a batch of orders (row-id keys), cache-aware and deduplicated.
 
         Cache misses run through one batched kernel call
-        (:func:`repro.backends.batched.run_batch`) when the backend is
-        the vector engine; other backends evaluate them one by one
-        (same values, no batching).
+        (:func:`repro.backends.batched.run_batch`) over a
+        :class:`~repro.backends.vector.BagSelection` of their ids when
+        the backend is the vector engine; other backends evaluate them
+        one by one (same values, no batching).
         """
-        values: list = [None] * len(candidates)
-        fresh: dict[Instance, list[int]] = {}
-        for idx, inst in enumerate(candidates):
-            hit = self._cache.get(inst, _MISSING)
+        values: list = [None] * len(keys)
+        fresh: dict[tuple, list[int]] = {}
+        for idx, key in enumerate(keys):
+            hit = self._cache.get(key, _MISSING)
             if hit is not _MISSING:
                 self._counts["cache_hits"] += 1
                 values[idx] = hit
             else:
-                slots = fresh.setdefault(inst, [])
+                slots = fresh.setdefault(key, [])
                 if slots:  # duplicate within this batch: one run serves both
                     self._counts["cache_hits"] += 1
                 slots.append(idx)
         if fresh:
-            insts = list(fresh)
-            results = self._run_fresh(insts)
-            self._counts["kernel_runs"] += len(insts)
-            for inst, value in zip(insts, results):
-                self._cache[inst] = value
-                for idx in fresh[inst]:
+            misses = list(fresh)
+            results = self._run_fresh(misses)
+            self._counts["kernel_runs"] += len(misses)
+            for key, value in zip(misses, results):
+                self._cache[key] = value
+                for idx in fresh[key]:
                     values[idx] = value
         return values
 
-    def _run_fresh(self, insts: list[Instance]) -> list:
+    def _run_fresh(self, keys: list[tuple]) -> list:
         """Kernel-evaluate uncached orders (batched when possible)."""
         policy = self.policy
         if getattr(self.backend, "name", None) == "vector" and (
@@ -509,40 +507,36 @@ class LocalSearchSequencer(Sequencer):
             or getattr(policy, "supports_vector", False)
         ):
             from ..backends.batched import run_batch  # local: builds on core
+            from ..core.simulator import default_step_limit
 
             max_steps = self.max_steps
             if max_steps is None:
-                # The default step limit depends only on the job bag
-                # and the release times, both invariant under the
-                # neighborhood moves -- compute it once per search
-                # instead of once per candidate lane (the exact
-                # Fraction sums dominate short batched evaluations
-                # otherwise).
+                # The default limit depends only on the bag and the
+                # releases, which no move changes: one per search.
                 if self._step_limit is None:
-                    from ..core.simulator import default_step_limit
-
-                    self._step_limit = default_step_limit(insts[0])
+                    self._step_limit = default_step_limit(self._base)
                 max_steps = self._step_limit
             result = run_batch(
-                insts,
+                self._bag.select(keys, [self._base.releases] * len(keys)),
                 policy,
                 objectives=(self.objective,),
                 tol=getattr(self.backend, "tol", 1e-9),
                 max_steps=max_steps,
             )
             return result.objective_values[self.objective.name]
-        return [self.evaluate(inst) for inst in insts]
+        return [self.evaluate(self._instance(key)) for key in keys]
 
     # ------------------------------------------------------------------
-    # Neighborhood moves (queues mutated in place; moves return False
-    # when the drawn move is a no-op so the caller can redraw)
+    # Neighborhood moves on per-queue row-id lists (mutated in place;
+    # moves return False when the drawn move is a no-op so the caller
+    # can redraw)
     # ------------------------------------------------------------------
     @staticmethod
-    def _positions(queues: list[list[Job]]) -> list[tuple[int, int]]:
+    def _positions(queues: list[list[int]]) -> list[tuple[int, int]]:
         return [(i, j) for i, q in enumerate(queues) for j in range(len(q))]
 
     @staticmethod
-    def _swap(queues: list[list[Job]], rng: random.Random) -> bool:
+    def _swap(queues: list[list[int]], rng: random.Random) -> bool:
         """Swap the jobs at two distinct positions (possibly cross-queue)."""
         pos = LocalSearchSequencer._positions(queues)
         if len(pos) < 2:
@@ -554,7 +548,7 @@ class LocalSearchSequencer(Sequencer):
         return True
 
     @staticmethod
-    def _insert(queues: list[list[Job]], rng: random.Random) -> bool:
+    def _insert(queues: list[list[int]], rng: random.Random) -> bool:
         """Relocate one job to another position (never emptying a queue)."""
         donors = [i for i, q in enumerate(queues) if len(q) > 1]
         if not donors:
@@ -582,6 +576,8 @@ class LocalSearchSequencer(Sequencer):
 
         t0 = perf_counter()
         self._cache = {}
+        self._bag = bag = JobBag()
+        self._base = instance
         self._step_limit = None
         self._ref = None
         self._promoted = None
@@ -595,9 +591,10 @@ class LocalSearchSequencer(Sequencer):
             "prefix_hits": 0,
             "kernel_runs": 0,
         }
-        best_queues = [list(q) for q in instance.queues]
-        best_value = self._evaluate_cached(instance)
-        self._promote_ref(instance)
+        start = self._start = tuple(bag.ids(q) for q in instance.queues)
+        best_queues = [list(q) for q in start]
+        best_value = self._evaluate_cached(start)
+        self._promote_ref(start)
         c["evaluations"] += 1
         initial_value = best_value
         for r in range(self.restarts):
@@ -611,29 +608,27 @@ class LocalSearchSequencer(Sequencer):
                 # like any other candidate below.
                 for _ in range(len(instance.queues)):
                     self._swap(current, rng)
-                candidate = instance.with_queues(current)
-                current_value = self._evaluate_cached(candidate)
-                self._promote_ref(candidate)
+                key = self._key(current)
+                current_value = self._evaluate_cached(key)
+                self._promote_ref(key)
                 c["evaluations"] += 1
                 spent += 1
                 c["perturbations"] += 1
                 if current_value < best_value:
                     best_queues = [list(q) for q in current]
                     best_value = current_value
-            climb = (
-                self._climb_batched if self.batch_lanes > 1 else self._climb
-            )
-            best_queues, best_value = climb(
-                instance, rng, current, current_value,
-                best_queues, best_value, spent,
+            best_queues, best_value = self._climb(
+                rng, current, current_value, best_queues, best_value, spent,
             )
         improved = best_value < initial_value
-        result = instance.with_queues(best_queues) if improved else instance
-        if not instance.same_bag(result):  # pragma: no cover - invariant
+        if sorted(chain(*best_queues)) != sorted(chain(*start)):  # pragma: no cover
             raise SequencingError(
                 "local search corrupted the job bag (internal error)"
             )
-        self._cache = {}  # orders die with the call; keep no references
+        result = self._instance(self._key(best_queues)) if improved else instance
+        # Orders die with the call; keep no references.
+        self._cache = {}
+        self._bag = self._base = None
         self._ref = None
         self._promoted = None
         seconds = perf_counter() - t0
@@ -655,15 +650,9 @@ class LocalSearchSequencer(Sequencer):
         }
         session = get_session()
         if session is not None:
-            session.metrics.counter("sequencer.evaluations").inc(evaluations)
-            session.metrics.counter("sequencer.accepted").inc(c["accepted"])
-            session.metrics.counter("sequencer.rejected").inc(c["rejected"])
-            session.metrics.counter("sequencer.cache_hits").inc(
-                c["cache_hits"]
-            )
-            session.metrics.counter("sequencer.prefix_hits").inc(
-                c["prefix_hits"]
-            )
+            counted = ("evaluations", "accepted", "rejected", "cache_hits", "prefix_hits")
+            for key in counted:
+                session.metrics.counter(f"sequencer.{key}").inc(c[key])
             session.tracer.complete(
                 "sequencer.search",
                 t0,
@@ -673,81 +662,38 @@ class LocalSearchSequencer(Sequencer):
                 objective=self.objective.name,
                 budget=self.budget,
                 restarts=self.restarts,
-                evaluations=evaluations,
-                accepted=c["accepted"],
-                rejected=c["rejected"],
-                cache_hits=c["cache_hits"],
-                prefix_hits=c["prefix_hits"],
                 kernel_runs=c["kernel_runs"],
                 batch_lanes=self.batch_lanes,
                 improved=improved,
+                **{key: c[key] for key in counted},
             )
         return result
 
     def _climb(
-        self, instance, rng, current, current_value,
-        best_queues, best_value, spent,
+        self, rng, current, current_value, best_queues, best_value, spent,
     ):
-        """One restart's sequential hill-climb (``batch_lanes == 1``).
-
-        The classic loop: draw one move, evaluate, accept iff strictly
-        better.  Bit-identical move stream and acceptance decisions to
-        earlier releases (only the memoization cache is new, and values
-        are deterministic, so cached hits cannot change the
-        trajectory).
-        """
-        c = self._counts
-        misdraws = 0
-        while spent < self.budget:
-            trial = [list(q) for q in current]
-            move = rng.choice((self._swap, self._insert))
-            if not move(trial, rng):
-                # Degenerate instances (one single-job queue) have
-                # no non-trivial neighborhood; stop redrawing after
-                # a burst of no-op moves instead of spinning.
-                misdraws += 1
-                if misdraws >= 32:
-                    break
-                continue
-            misdraws = 0
-            candidate = instance.with_queues(trial)
-            value = self._evaluate_cached(candidate)
-            c["evaluations"] += 1
-            spent += 1
-            if value < current_value:
-                c["accepted"] += 1
-                current = trial
-                current_value = value
-                self._promote_ref(candidate)
-                if value < best_value:
-                    best_queues = [list(q) for q in trial]
-                    best_value = value
-            else:
-                c["rejected"] += 1
-        return best_queues, best_value
-
-    def _climb_batched(
-        self, instance, rng, current, current_value,
-        best_queues, best_value, spent,
-    ):
-        """One restart's batched hill-climb (``batch_lanes > 1``).
+        """One restart's hill-climb.
 
         Each iteration draws up to ``batch_lanes`` neighbors of the
-        incumbent from the same seeded move stream, evaluates the
-        whole batch through one batched kernel call
-        (:meth:`_evaluate_many`), and moves to the best candidate iff
-        it strictly improves the incumbent (first index wins ties, so
-        the trajectory is deterministic).
+        incumbent from the seeded move stream and moves to the best
+        one iff it strictly improves the incumbent (first index wins
+        ties, so the trajectory is deterministic).  One lane is the
+        classic sequential climb, evaluated through
+        :meth:`_evaluate_cached` (with prefix resume); more lanes go
+        through one batched kernel call (:meth:`_evaluate_many`).
         """
         c = self._counts
         misdraws = 0
         while spent < self.budget:
             lanes = min(self.batch_lanes, self.budget - spent)
-            trials: list[list[list[Job]]] = []
+            trials: list[list[list[int]]] = []
             while len(trials) < lanes:
                 trial = [list(q) for q in current]
                 move = rng.choice((self._swap, self._insert))
                 if not move(trial, rng):
+                    # Degenerate instances (one single-job queue) have
+                    # no non-trivial neighborhood; stop redrawing after
+                    # a burst of no-op moves instead of spinning.
                     misdraws += 1
                     if misdraws >= 32:
                         break
@@ -756,21 +702,25 @@ class LocalSearchSequencer(Sequencer):
                 trials.append(trial)
             if not trials:
                 break
-            candidates = [instance.with_queues(t) for t in trials]
-            values = self._evaluate_many(candidates)
-            c["evaluations"] += len(candidates)
-            spent += len(candidates)
+            keys = [self._key(t) for t in trials]
+            if self.batch_lanes > 1:
+                values = self._evaluate_many(keys)
+            else:
+                values = [self._evaluate_cached(keys[0])]
+            c["evaluations"] += len(trials)
+            spent += len(trials)
             best_i = min(range(len(values)), key=values.__getitem__)
             if values[best_i] < current_value:
                 c["accepted"] += 1
-                c["rejected"] += len(candidates) - 1
+                c["rejected"] += len(trials) - 1
                 current = trials[best_i]
                 current_value = values[best_i]
+                self._promote_ref(keys[best_i])
                 if current_value < best_value:
-                    best_queues = [list(q) for q in trials[best_i]]
+                    best_queues = [list(q) for q in current]
                     best_value = current_value
             else:
-                c["rejected"] += len(candidates)
+                c["rejected"] += len(trials)
             if misdraws >= 32:
                 break
         return best_queues, best_value

@@ -58,7 +58,7 @@ from ..core.job import Job
 from ..core.kernel import CompletionRecorder, ExactRuntime, run_kernel
 from ..core.numerics import frac_ceil
 from ..core.simulator import default_step_limit
-from ..exceptions import ServiceError
+from ..exceptions import InvalidInstanceError, ServiceError
 from ..io.serialization import job_from_dict, job_to_dict
 from ..telemetry import get_session
 from .admission import AdmissionContext, AdmissionPolicy, get_admission
@@ -586,6 +586,8 @@ def replay_log(
                 time=int(record["t"]), job=job_from_dict(record["job"])
             )
             recorded = bool(record["admitted"])
+        except InvalidInstanceError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(
                 f"malformed arrival record {record!r}: {exc}"

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from ..core.job import Job
-from ..exceptions import ServiceError
+from ..exceptions import InvalidInstanceError, ServiceError
 from ..io.serialization import job_from_dict, job_to_dict
 
 __all__ = [
@@ -89,6 +89,8 @@ class ArrivalEvent:
             job = job_from_dict(doc["job"])
         except KeyError as exc:
             raise ServiceError(f"trace record has no 'job': {doc!r}") from exc
+        except InvalidInstanceError:
+            raise
         except ValueError as exc:
             raise ServiceError(f"trace record carries a bad job: {exc}") from exc
         return cls(time=time, job=job)

@@ -66,6 +66,28 @@ class TestInstanceConstruction:
         with pytest.raises(InvalidInstanceError):
             Instance([[0.5], []])
 
+    # Typed boundary: these raised a bare ValueError.  The typed error
+    # is still a ValueError, so callers catching the builtin keep working.
+    def test_rejects_nan_requirement(self):
+        with pytest.raises(InvalidInstanceError, match="requirement must be a finite number"):
+            Instance([[float("nan")]])
+
+    def test_rejects_infinite_size(self):
+        with pytest.raises(InvalidInstanceError, match="size must be a finite number"):
+            Job("1/2", float("inf"))
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(InvalidInstanceError, match="weight must be a finite number"):
+            Job("1/2", weight=float("nan"))
+
+    def test_rejects_non_integer_release(self):
+        with pytest.raises(InvalidInstanceError, match="release times must be integers"):
+            Instance([[0.5]], releases=["a"])
+
+    def test_typed_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            Instance([[0.5]], releases=[None])
+
     def test_equality_hash(self):
         a = Instance.from_requirements([["1/2"], ["1/3"]])
         b = Instance.from_requirements([[Fraction(1, 2)], [Fraction(1, 3)]])

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core import Job
-from repro.exceptions import ServiceError
+from repro.exceptions import InvalidInstanceError, ServiceError
 from repro.service import (
     ArrivalEvent,
     read_event_log,
@@ -44,6 +44,12 @@ class TestArrivalEvent:
     def test_bad_job_rejected(self):
         with pytest.raises(ServiceError, match="bad job"):
             ArrivalEvent.from_dict({"t": 0, "job": {"p": 1}})
+
+    def test_model_violation_keeps_its_type(self):
+        # InvalidInstanceError is also a ValueError; the ValueError
+        # handler must not rewrap it as a ServiceError.
+        with pytest.raises(InvalidInstanceError, match=r"in \[0, 1\]"):
+            ArrivalEvent.from_dict({"t": 0, "job": {"r": "2", "p": 1}})
 
 
 class TestTraceFormat:
