@@ -32,7 +32,7 @@ from .base import (
     water_fill_multi,
 )
 from .brute_force import brute_force_makespan
-from .fastpath import greedy_balance_makespan, round_robin_makespan
+from .fastpath import greedy_balance_makespan
 from .flowdeadline import EDFWaterfill, WeightedSRPT
 from .greedy_balance import GreedyBalance
 from .heuristics import (
@@ -80,7 +80,6 @@ __all__ = [
     "milp_makespan",
     "order_invariant_lower_bound",
     "order_space_size",
-    "round_robin_makespan",
     "opt_res_assignment",
     "opt_res_assignment_general",
     "opt_res_assignment_pq",

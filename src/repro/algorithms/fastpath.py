@@ -1,4 +1,4 @@
-"""Integer-grid makespans for the greedy policies and the oracles.
+"""Integer-grid makespans for GreedyBalance and the oracles.
 
 Every k=1 instance's requirements live on a common rational grid
 (``r = units / D`` for the least common denominator ``D``, see
@@ -7,11 +7,12 @@ executions run in integers: the per-step capacity is ``D`` units.
 
 :func:`greedy_balance_makespan` runs GreedyBalance on the grid runtime
 (:class:`~repro.core.kernel.GridRuntime`, the exact backend's engine
-for water-fill policies) without building the Schedule artifact;
-:func:`round_robin_makespan` is RoundRobin's closed form in grid units.
-Both are bit-for-bit equal to simulating the policy (the test-suite
-cross-validates on random instances); the THRU benchmark measures
-them against the ``Fraction`` simulator.
+for water-fill policies) without building the Schedule artifact.  It
+is bit-for-bit equal to simulating the policy (the test-suite
+cross-validates on random instances); the THRU benchmark measures it
+against the ``Fraction`` simulator.  RoundRobin needs no fast path:
+its makespan has a closed form,
+:func:`~repro.algorithms.round_robin.round_robin_makespan_formula`.
 
 The exact offline oracles (Theorems 5 and 6) compute on the same
 grid: :func:`grid_witness_makespan` replays their integer witness rows
@@ -32,7 +33,6 @@ from .greedy_balance import GreedyBalance
 __all__ = [
     "greedy_balance_makespan",
     "grid_witness_makespan",
-    "round_robin_makespan",
 ]
 
 
@@ -51,25 +51,6 @@ def greedy_balance_makespan(instance: Instance) -> int:
     instance.require_unit_size("greedy_balance_makespan (fast path)")
     instance.require_static("greedy_balance_makespan (fast path)")
     return run_kernel(GridRuntime(instance, grid_units(instance)), GreedyBalance())
-
-
-def round_robin_makespan(instance: Instance) -> int:
-    """RoundRobin's makespan via pure integer arithmetic.
-
-    Uses the phase decomposition directly: phase ``j`` costs
-    ``max(1, ceil(sum of phase-j units / capacity))`` steps (the
-    closed form from the Theorem 3 proof, in grid units).
-    """
-    instance.require_single_resource("round_robin_makespan (fast path)")
-    instance.require_unit_size("round_robin_makespan (fast path)")
-    instance.require_static("round_robin_makespan (fast path)")
-    units, capacity = instance.to_integer_grid()
-    n = instance.max_jobs
-    total = 0
-    for j in range(n):
-        phase = sum(row[j] for row in units if len(row) > j)
-        total += max(1, -(-phase // capacity))
-    return total
 
 
 def grid_witness_makespan(

@@ -320,21 +320,21 @@ def branch_and_bound_order(
             order_space=space,
         )
 
-    prefix_cache: dict[tuple, int] = {}
+    prefix_optima: dict[tuple, int] = {}
 
     def prefix_bound(orders) -> int:
         """Exact optimum of the committed prefix (a sound lower bound)."""
         nonlocal bound_calls
         key = _value_key(instance, orders)
-        if key in prefix_cache:
-            return prefix_cache[key]
+        if key in prefix_optima:
+            return prefix_optima[key]
         rows = [[units[i][j] for j in row] for i, row in enumerate(orders) if row]
         if not rows:
             value = 0
         else:
             value = _grid_order_makespan(rows, cap)
             bound_calls += 1
-        prefix_cache[key] = value
+        prefix_optima[key] = value
         return value
 
     # Nodes: (bound, tiebreak, committed-count, orders).  The heap is

@@ -59,6 +59,7 @@ from .algorithms import (
 from .analysis import compute_metrics
 from .backends import available_backends
 from .core.hypergraph import SchedulingGraph
+from .exceptions import ReproError
 from .experiments import EXPERIMENTS, get_experiment
 from .experiments.runner import run_experiment
 from .io import load_instance, save_schedule
@@ -1343,7 +1344,22 @@ def _cmd_demo() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; its exit status.
+
+    A library error or an unreadable file escaping the subcommand is
+    printed as one ``crsharing: error: ...`` line on stderr and exits
+    with status 2, like an argparse usage error.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ReproError, OSError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"crsharing: error: {message}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "experiment":

@@ -185,10 +185,6 @@ class ExecState:
         """
         return self.done == self._num_jobs
 
-    def snapshot(self) -> tuple[int, tuple[int, ...], tuple[Fraction, ...]]:
-        """Hashable progress snapshot (used for stall detection)."""
-        return (self.t, tuple(self.done), tuple(self.remaining))
-
     # ------------------------------------------------------------------
     # Snapshot / resume (the checkpoint layer, :mod:`repro.core.checkpoint`)
     # ------------------------------------------------------------------

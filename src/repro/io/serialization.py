@@ -47,7 +47,7 @@ from typing import Any
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.schedule import Schedule
-from ..exceptions import InvalidInstanceError
+from ..exceptions import InvalidInstanceError, InvalidScheduleError, ReproError
 
 __all__ = [
     "instance_to_dict",
@@ -231,8 +231,26 @@ def save_instance(instance: Instance, path: str | Path) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(instance), indent=2))
 
 
+def _read_document(path: str | Path, error: type[ReproError]) -> dict[str, Any]:
+    """The JSON object stored at *path*.
+
+    Raises:
+        OSError: the file cannot be read.
+        error: the file is not a JSON object (chained to the parse
+            error when it does not parse at all).
+    """
+    try:
+        data = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise error(f"{path}: not a JSON object")
+    return data
+
+
 def load_instance(path: str | Path) -> Instance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    """Read an instance document; :class:`InvalidInstanceError` if it is not one."""
+    return instance_from_dict(_read_document(path, InvalidInstanceError))
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
@@ -240,4 +258,5 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
 
 
 def load_schedule(path: str | Path) -> Schedule:
-    return schedule_from_dict(json.loads(Path(path).read_text()))
+    """Read a schedule document; :class:`InvalidScheduleError` if it is no JSON object."""
+    return schedule_from_dict(_read_document(path, InvalidScheduleError))

@@ -39,44 +39,16 @@ from itertools import chain
 from time import perf_counter
 
 from ..backends.vector import JobBag
-from ..core.checkpoint import KernelCheckpoint, checkpoint_run
+
+# Unused here; they stay module attributes because
+# ``perfbench/tracing.py`` patches both names on this module.
+from ..core.checkpoint import checkpoint_run  # noqa: F401
 from ..core.instance import Instance
-from ..core.kernel import CompletionRecorder, StepObserver, run_kernel
+from ..core.kernel import run_kernel  # noqa: F401
 from ..exceptions import SequencingError
 from .base import Sequencer, register_sequencer
 
 __all__ = ["LocalSearchSequencer"]
-
-#: Reference checkpoints kept for prefix resume (older ones are the
-#: least likely to be the deepest valid restore point).
-_MAX_PREFIX_POINTS = 128
-
-
-class _PrefixCapture(StepObserver):
-    """Checkpoints the run at every completion boundary.
-
-    A checkpoint is only consistent once *all* of a step's completions
-    have been dispatched to the peer observers, so the capture waits
-    for the last ``on_complete`` of the step (it must be ordered after
-    the peers in the observer tuple).
-    """
-
-    def __init__(self, runtime, peers: tuple) -> None:
-        self._runtime = runtime
-        self._peers = peers
-        self._pending = 0
-        self.points: list[KernelCheckpoint] = []
-
-    def on_step(self, event) -> None:
-        """Arm the countdown with the step's completion count."""
-        self._pending = len(event.completed)
-
-    def on_complete(self, job, t) -> None:
-        """Capture a checkpoint after the step's last completion."""
-        self._pending -= 1
-        if self._pending == 0:
-            self.points.append(checkpoint_run(self._runtime, self._peers))
-
 
 #: Decorrelates the per-restart seed streams (same constant family as
 #: the campaign generators' arrival/resource/weight offsets).
@@ -117,26 +89,16 @@ class LocalSearchSequencer(Sequencer):
             backend (``None`` = the backend's default).
         batch_lanes: neighbors drawn and evaluated per iteration.
             The default ``1`` is the classic sequential hill-climb
-            (evaluate one neighbor, accept if strictly better).  With
-            ``batch_lanes > 1`` the batch runs through one
-            :class:`~repro.backends.batched.BatchVectorRuntime` array
-            program (vector backend; other backends evaluate lane by
-            lane) and the best strictly-improving candidate wins -- a
-            different, equally deterministic trajectory with an
-            order-of-magnitude higher evals/s
+            (evaluate one neighbor, accept if strictly better); with
+            more lanes the best strictly-improving candidate of the
+            batch wins -- a different, equally deterministic
+            trajectory with an order-of-magnitude higher evals/s
             (``benchmarks/bench_batched_evals.py`` gates the factor).
-        prefix_cache: resume candidate evaluations from
-            :class:`~repro.core.checkpoint.KernelCheckpoint` snapshots
-            taken along the incumbent's run, at the deepest completion
-            boundary whose per-queue progress stays strictly inside
-            the candidate's common order prefix -- neighbors differ
-            from the incumbent by one move, so most of their prefix
-            simulation is shared work.  ``None`` (the default)
-            auto-enables on the sequential vector path
-            (``batch_lanes == 1``, vector backend, vector-capable
-            policy); ``True``/``False`` force it.  Resumed evaluations
-            are bit-identical to fresh ones (the checkpoint layer's
-            contract): only the cost changes.
+            Every evaluation takes one path, whatever the lane count:
+            a single missed order runs on the single-lane backend,
+            several in one :func:`~repro.backends.batched.run_batch`
+            call (vector backend; other backends evaluate them one by
+            one).
 
     Attributes:
         last_stats: after each :meth:`sequence` call, a dict with the
@@ -146,12 +108,9 @@ class LocalSearchSequencer(Sequencer):
             neighborhood candidates, plus ``perturbations`` --
             restart-kickoff evaluations, charged to neither), the
             memoization figures (``cache_hits`` -- evaluations served
-            from the per-call canonical-order cache -- ``prefix_hits``
-            -- kernel runs resumed from a checkpoint at the longest
-            common order prefix instead of simulated from ``t=0`` --
-            and ``kernel_runs``, the candidate evaluations actually
-            simulated, which with the prefix cache active excludes the
-            per-promotion snapshot re-runs), the
+            from the per-call canonical-order cache or by a duplicate
+            in the same batch -- and ``kernel_runs``, the orders
+            actually simulated; the two sum to ``evaluations``), the
             configured ``batch_lanes``, and the search throughput
             (``seconds`` wall time, ``evals_per_second``) -- the ORDER
             experiment and the benchmarks read these instead of
@@ -182,7 +141,6 @@ class LocalSearchSequencer(Sequencer):
         seed: int = 0,
         max_steps: int | None = None,
         batch_lanes: int = 1,
-        prefix_cache: bool | None = None,
     ) -> None:
         from ..algorithms import resolve_policy  # local: avoid import cycle
         from ..backends import get_backend
@@ -214,7 +172,6 @@ class LocalSearchSequencer(Sequencer):
         self.seed = int(seed)
         self.max_steps = max_steps
         self.batch_lanes = int(batch_lanes)
-        self.prefix_cache = prefix_cache
         self.last_stats: dict[str, object] = {}
         # Per-sequence() evaluation cache (keyed by row-id orders over
         # the call's job bag) and counters, reset each call.
@@ -225,11 +182,6 @@ class LocalSearchSequencer(Sequencer):
         self._bag: JobBag | None = None
         self._base: Instance | None = None
         self._start: tuple = ()
-        # Prefix-resume state: (incumbent queues, its checkpoints) and
-        # the capture handoff slot of the latest promotion re-run.
-        self._prefix_active = False
-        self._ref: tuple[tuple, list[KernelCheckpoint]] | None = None
-        self._promoted: tuple[tuple, list[KernelCheckpoint]] | None = None
 
     def bind(self, *, policy=None, objective=None) -> "LocalSearchSequencer":
         """Adopt the run's policy/objective for any unpinned option.
@@ -284,198 +236,21 @@ class LocalSearchSequencer(Sequencer):
         jobs = self._bag.jobs
         return self._base.with_queues([[jobs[r] for r in q] for q in key])
 
-    def _evaluate_cached(self, key: tuple):
-        """Memoized single-lane :meth:`evaluate` of the order *key*.
-
-        Keys are per-queue row-id tuples over the call's
-        :class:`~repro.backends.vector.JobBag`; equal jobs share an id,
-        so keys compare exactly as instances do, and restarts and
-        revisited neighbors hit the cache instead of re-running the
-        kernel.  The cache lives for one :meth:`sequence` call.  A miss
-        builds the order's instance; with the prefix cache active it
-        runs through :meth:`_kernel_eval` (same values, resumed mid-run
-        when a checkpoint of the incumbent applies).
-        """
-        value = self._cache.get(key, _MISSING)
-        if value is not _MISSING:
-            self._counts["cache_hits"] += 1
-            return value
-        candidate = self._instance(key)
-        if self._prefix_active:
-            value = self._kernel_eval(candidate, key, capture=False)
-        else:
-            value = self.evaluate(candidate)
-        self._counts["kernel_runs"] += 1
-        self._cache[key] = value
-        return value
-
-    # ------------------------------------------------------------------
-    # Prefix-resume evaluation (checkpoints along the incumbent's run)
-    # ------------------------------------------------------------------
-    def _resolve_prefix_active(self) -> bool:
-        """Whether this :meth:`sequence` call resumes from checkpoints.
-
-        The auto default (``prefix_cache=None``) requires the
-        sequential vector path: vector backend, ``batch_lanes == 1``,
-        and a vector-capable policy.  An explicit ``True`` on an
-        incompatible configuration raises instead of silently
-        degrading.
-
-        Raises:
-            SequencingError: ``prefix_cache=True`` with a non-vector
-                backend, ``batch_lanes > 1``, or a policy without
-                vector support.
-        """
-        vector = getattr(self.backend, "name", None) == "vector"
-        capable = getattr(self.policy, "supports_vector", False)
-        eligible = vector and capable and self.batch_lanes == 1
-        if self.prefix_cache is None:
-            return eligible
-        if self.prefix_cache and not eligible:
-            reason = (
-                "a non-vector backend"
-                if not vector
-                else "a policy without vector support"
-                if not capable
-                else "batch_lanes > 1"
-            )
-            raise SequencingError(
-                f"prefix_cache=True is incompatible with {reason}"
-            )
-        return bool(self.prefix_cache)
-
     @staticmethod
     def _key(queues) -> tuple:
         return tuple(map(tuple, queues))
 
-    @staticmethod
-    def _prefix_bounds(ref_key: tuple, cand_key: tuple) -> list | None:
-        """Per-queue resume bounds of *cand_key* against *ref_key*.
-
-        ``None`` entries mark identical queues (no constraint); an
-        integer ``d`` means a checkpoint may only be resumed while the
-        queue has started strictly fewer than ``d`` jobs (the common
-        order prefix -- positions ``>= d`` hold different jobs).
-        Returns ``None`` overall when any queue length differs: the
-        policies see per-queue backlog counts (``jobs_remaining``), so
-        runs over different queue shapes diverge from step 0 and no
-        checkpoint transfers.
-        """
-        bounds: list[int | None] = []
-        for rq, cq in zip(ref_key, cand_key):
-            if len(rq) != len(cq):
-                return None
-            diverge = (d for d, (a, b) in enumerate(zip(rq, cq)) if a != b)
-            bounds.append(next(diverge, None))
-        return bounds
-
-    @staticmethod
-    def _inside(point: KernelCheckpoint, bounds: list) -> bool:
-        """Whether *point* started only jobs inside the prefix *bounds*."""
-        done = point.state["done"]
-        return all(d is None or done[i] < d for i, d in enumerate(bounds))
-
-    def _best_resume_point(self, cand_key: tuple) -> KernelCheckpoint | None:
-        """Deepest incumbent checkpoint valid for the candidate order.
-
-        Valid means every queue's started jobs (done plus the one in
-        progress) lie strictly inside the common order prefix, so the
-        captured state is exactly what the candidate's own run from
-        ``t=0`` would have produced at that boundary.
-        """
-        if self._ref is None:
-            return None
-        ref_key, points = self._ref
-        bounds = self._prefix_bounds(ref_key, cand_key)
-        if bounds is None:
-            return None
-        return next((p for p in reversed(points) if self._inside(p, bounds)), None)
-
-    def _kernel_eval(self, candidate: Instance, cand_key: tuple, *, capture: bool):
-        """One direct kernel run of *candidate* (order *cand_key*), resumed if possible.
-
-        Bit-identical to :meth:`evaluate` on the vector backend: the
-        restored state is on the candidate's own trajectory (see
-        :meth:`_best_resume_point`), and the checkpoint layer pins
-        resume bit-identity.  With *capture* the run also snapshots
-        every completion boundary (for :meth:`_promote_ref`) --
-        snapshots cost :math:`O(\\text{completions})` each, so plain
-        candidate evaluations skip them.
-        """
-        from ..backends.vector import VectorRuntime  # local: builds on core
-        from ..core.simulator import default_step_limit
-
-        rt = VectorRuntime(candidate, tol=getattr(self.backend, "tol", 1e-9))
-        completions = CompletionRecorder()
-        point = self._best_resume_point(cand_key)
-        if point is not None:
-            rt.restore(point.state)
-            payload = point.observers[0] if point.observers else None
-            if payload is not None:
-                completions.restore_state(payload)
-            self._counts["prefix_hits"] += 1
-        observers: tuple = (completions,)
-        cap = None
-        if capture:
-            cap = _PrefixCapture(rt, (completions,))
-            observers = (completions, cap)
-        if self._step_limit is None:
-            self._step_limit = default_step_limit(candidate)
-        max_steps = (
-            self.max_steps if self.max_steps is not None else self._step_limit
-        )
-        makespan = run_kernel(
-            rt, self.policy, observers,
-            max_steps=max_steps, label="sequencer candidate",
-        )
-        if cap is not None:
-            self._promoted = (cand_key, cap.points)
-        return self.objective.value_from_completions(
-            candidate, completions.completion_steps, makespan
-        )
-
-    def _promote_ref(self, key: tuple) -> None:
-        """Make the order *key* (the new climb incumbent) the resume reference.
-
-        Re-runs the incumbent once with completion-boundary snapshots
-        enabled -- itself resumed from the outgoing reference, so the
-        re-run only simulates the suffix past their common prefix.
-        Promotions are rare (one per accepted move / restart kickoff)
-        while rejected neighbors dominate, so paying the snapshot cost
-        here instead of on every evaluation keeps the hot path lean.
-        Snapshots of the old reference still on the new incumbent's
-        trajectory -- started jobs strictly inside their common
-        prefix, same queue lengths -- are merged in, so the suffix-only
-        re-run does not lose its early restore points; the merged list
-        keeps the newest :data:`_MAX_PREFIX_POINTS`.
-        """
-        if not self._prefix_active:
-            return
-        old = self._ref
-        if old is not None and old[0] == key:
-            return
-        self._promoted = None
-        self._kernel_eval(self._instance(key), key, capture=True)
-        promoted_key, points = self._promoted
-        assert promoted_key == key
-        bounds = None if old is None else self._prefix_bounds(old[0], key)
-        if bounds is not None:
-            have = {p.t for p in points}
-            carried = [
-                p for p in old[1] if p.t not in have and self._inside(p, bounds)
-            ]
-            if carried:
-                points = sorted(carried + points, key=lambda p: p.t)
-        self._ref = (key, points[-_MAX_PREFIX_POINTS:])
-
     def _evaluate_many(self, keys: list[tuple]) -> list:
-        """Evaluate a batch of orders (row-id keys), cache-aware and deduplicated.
+        """Evaluate orders (row-id keys), cache-aware and deduplicated.
 
-        Cache misses run through one batched kernel call
-        (:func:`repro.backends.batched.run_batch`) over a
-        :class:`~repro.backends.vector.BagSelection` of their ids when
-        the backend is the vector engine; other backends evaluate them
-        one by one (same values, no batching).
+        The one evaluation path of the search: the initial order, each
+        restart's perturbation and every climb batch come through here.
+        Keys are per-queue row-id tuples over the call's
+        :class:`~repro.backends.vector.JobBag`; equal jobs share an id,
+        so keys compare exactly as instances do, and restarts,
+        revisited neighbors and duplicates within a batch hit the
+        cache instead of re-running the kernel.  The cache lives for
+        one :meth:`sequence` call.
         """
         values: list = [None] * len(keys)
         fresh: dict[tuple, list[int]] = {}
@@ -500,11 +275,23 @@ class LocalSearchSequencer(Sequencer):
         return values
 
     def _run_fresh(self, keys: list[tuple]) -> list:
-        """Kernel-evaluate uncached orders (batched when possible)."""
+        """Kernel-evaluate uncached orders.
+
+        One order runs on the single-lane backend (:meth:`evaluate`):
+        the batched engine at one lane is slower.  Two or more run as
+        one :func:`~repro.backends.batched.run_batch` call over a
+        :class:`~repro.backends.vector.BagSelection` of their ids when
+        the backend is the vector engine; other backends evaluate them
+        one by one (same values, no batching).
+        """
         policy = self.policy
-        if getattr(self.backend, "name", None) == "vector" and (
-            getattr(policy, "supports_batch", False)
-            or getattr(policy, "supports_vector", False)
+        if (
+            len(keys) > 1
+            and getattr(self.backend, "name", None) == "vector"
+            and (
+                getattr(policy, "supports_batch", False)
+                or getattr(policy, "supports_vector", False)
+            )
         ):
             from ..backends.batched import run_batch  # local: builds on core
             from ..core.simulator import default_step_limit
@@ -579,22 +366,17 @@ class LocalSearchSequencer(Sequencer):
         self._bag = bag = JobBag()
         self._base = instance
         self._step_limit = None
-        self._ref = None
-        self._promoted = None
-        self._prefix_active = self._resolve_prefix_active()
         c = self._counts = {
             "evaluations": 0,
             "accepted": 0,
             "rejected": 0,
             "perturbations": 0,
             "cache_hits": 0,
-            "prefix_hits": 0,
             "kernel_runs": 0,
         }
         start = self._start = tuple(bag.ids(q) for q in instance.queues)
         best_queues = [list(q) for q in start]
-        best_value = self._evaluate_cached(start)
-        self._promote_ref(start)
+        (best_value,) = self._evaluate_many([start])
         c["evaluations"] += 1
         initial_value = best_value
         for r in range(self.restarts):
@@ -608,9 +390,7 @@ class LocalSearchSequencer(Sequencer):
                 # like any other candidate below.
                 for _ in range(len(instance.queues)):
                     self._swap(current, rng)
-                key = self._key(current)
-                current_value = self._evaluate_cached(key)
-                self._promote_ref(key)
+                (current_value,) = self._evaluate_many([self._key(current)])
                 c["evaluations"] += 1
                 spent += 1
                 c["perturbations"] += 1
@@ -629,8 +409,6 @@ class LocalSearchSequencer(Sequencer):
         # Orders die with the call; keep no references.
         self._cache = {}
         self._bag = self._base = None
-        self._ref = None
-        self._promoted = None
         seconds = perf_counter() - t0
         evaluations = c["evaluations"]
         self.last_stats = {
@@ -642,7 +420,6 @@ class LocalSearchSequencer(Sequencer):
             "rejected": c["rejected"],
             "perturbations": c["perturbations"],
             "cache_hits": c["cache_hits"],
-            "prefix_hits": c["prefix_hits"],
             "kernel_runs": c["kernel_runs"],
             "batch_lanes": self.batch_lanes,
             "seconds": seconds,
@@ -650,7 +427,7 @@ class LocalSearchSequencer(Sequencer):
         }
         session = get_session()
         if session is not None:
-            counted = ("evaluations", "accepted", "rejected", "cache_hits", "prefix_hits")
+            counted = ("evaluations", "accepted", "rejected", "cache_hits")
             for key in counted:
                 session.metrics.counter(f"sequencer.{key}").inc(c[key])
             session.tracer.complete(
@@ -678,9 +455,9 @@ class LocalSearchSequencer(Sequencer):
         incumbent from the seeded move stream and moves to the best
         one iff it strictly improves the incumbent (first index wins
         ties, so the trajectory is deterministic).  One lane is the
-        classic sequential climb, evaluated through
-        :meth:`_evaluate_cached` (with prefix resume); more lanes go
-        through one batched kernel call (:meth:`_evaluate_many`).
+        classic sequential climb.  Every batch, of any size, goes
+        through :meth:`_evaluate_many`: a single missed order runs on
+        the single-lane backend, several in one ``run_batch`` call.
         """
         c = self._counts
         misdraws = 0
@@ -702,11 +479,7 @@ class LocalSearchSequencer(Sequencer):
                 trials.append(trial)
             if not trials:
                 break
-            keys = [self._key(t) for t in trials]
-            if self.batch_lanes > 1:
-                values = self._evaluate_many(keys)
-            else:
-                values = [self._evaluate_cached(keys[0])]
+            values = self._evaluate_many([self._key(t) for t in trials])
             c["evaluations"] += len(trials)
             spent += len(trials)
             best_i = min(range(len(values)), key=values.__getitem__)
@@ -715,7 +488,6 @@ class LocalSearchSequencer(Sequencer):
                 c["rejected"] += len(trials) - 1
                 current = trials[best_i]
                 current_value = values[best_i]
-                self._promote_ref(keys[best_i])
                 if current_value < best_value:
                     best_queues = [list(q) for q in current]
                     best_value = current_value

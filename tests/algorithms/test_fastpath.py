@@ -7,7 +7,6 @@ from repro.algorithms import (
     GreedyBalance,
     RoundRobin,
     greedy_balance_makespan,
-    round_robin_makespan,
     round_robin_makespan_formula,
 )
 from repro.core import Instance, Job
@@ -33,16 +32,16 @@ class TestEquivalence:
     def test_ragged_queues(self, seed):
         inst = ragged_instance(4, (1, 6), seed=seed)
         assert greedy_balance_makespan(inst) == GreedyBalance().run(inst).makespan
-        assert round_robin_makespan(inst) == RoundRobin().run(inst).makespan
+        assert round_robin_makespan_formula(inst) == RoundRobin().run(inst).makespan
 
     @pytest.mark.parametrize("seed", range(6))
     def test_round_robin_matches_formula(self, seed):
         inst = uniform_instance(3, 5, seed=seed)
-        assert round_robin_makespan(inst) == round_robin_makespan_formula(inst)
+        assert round_robin_makespan_formula(inst) == RoundRobin().run(inst).makespan
 
     def test_adversarial_families(self):
         inst = round_robin_adversarial(30)
-        assert round_robin_makespan(inst) == 60
+        assert round_robin_makespan_formula(inst) == 60
         inst = greedy_balance_adversarial(3, 8)
         assert greedy_balance_makespan(inst) == 5 * 8
 
@@ -52,7 +51,7 @@ class TestEquivalence:
     @given(inst=unit_instances(max_m=4, max_n=5))
     def test_property_equivalence(self, inst):
         assert greedy_balance_makespan(inst) == GreedyBalance().run(inst).makespan
-        assert round_robin_makespan(inst) == RoundRobin().run(inst).makespan
+        assert round_robin_makespan_formula(inst) == RoundRobin().run(inst).makespan
 
 
 class TestGuards:
@@ -61,7 +60,7 @@ class TestGuards:
         with pytest.raises(UnitSizeRequiredError):
             greedy_balance_makespan(inst)
         with pytest.raises(UnitSizeRequiredError):
-            round_robin_makespan(inst)
+            round_robin_makespan_formula(inst)
 
     def test_zero_requirement_jobs(self):
         inst = Instance.from_requirements([[0, 0, "1/2"]])

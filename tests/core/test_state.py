@@ -65,11 +65,3 @@ class TestStepOutcome:
         assert outcome.processed == (H, H)
         assert outcome.completed == ((0, 0),)
         assert set(outcome.started) == {(0, 0), (1, 0)}
-
-    def test_snapshot_hashable_and_changing(self, instance):
-        state = ExecState(instance)
-        s0 = state.snapshot()
-        state.apply([H, Q])
-        s1 = state.snapshot()
-        assert s0 != s1
-        assert hash(s0) != hash(s1) or s0 != s1

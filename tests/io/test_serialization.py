@@ -1,12 +1,13 @@
 """Unit tests for exact JSON serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from repro.algorithms import GreedyBalance
 from repro.core import Instance, Job
-from repro.exceptions import InvalidInstanceError
+from repro.exceptions import InvalidInstanceError, InvalidScheduleError
 from repro.generators import uniform_instance
 from repro.io import (
     instance_from_dict,
@@ -199,3 +200,37 @@ class TestObjectiveAnnotationRoundTrip:
         data["processors"][0][0]["w"] = "-1"
         with pytest.raises(Exception):
             instance_from_dict(data)
+
+
+class TestUnreadableFiles:
+    """Loaders raise the typed error on files that are not documents."""
+
+    def test_malformed_instance_json_is_chained(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        with pytest.raises(InvalidInstanceError, match="not valid JSON") as info:
+            load_instance(path)
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    def test_non_utf8_instance_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        with pytest.raises(InvalidInstanceError, match="not valid JSON"):
+            load_instance(path)
+
+    def test_instance_json_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(InvalidInstanceError, match="not a JSON object"):
+            load_instance(path)
+
+    def test_malformed_schedule_json_is_chained(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("")
+        with pytest.raises(InvalidScheduleError, match="not valid JSON") as info:
+            load_schedule(path)
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_instance(tmp_path / "absent.json")

@@ -118,7 +118,7 @@ class FrozenInstanceClimb:
         self._step_limit = None
         c = self._counts = dict.fromkeys(
             ("evaluations", "accepted", "rejected", "perturbations",
-             "cache_hits", "prefix_hits", "kernel_runs"),
+             "cache_hits", "kernel_runs"),
             0,
         )
         best_queues = [list(q) for q in instance.queues]
@@ -156,7 +156,6 @@ class FrozenInstanceClimb:
             "rejected": c["rejected"],
             "perturbations": c["perturbations"],
             "cache_hits": c["cache_hits"],
-            "prefix_hits": c["prefix_hits"],
             "kernel_runs": c["kernel_runs"],
             "batch_lanes": self.batch_lanes,
         }

@@ -169,11 +169,12 @@ def test_continuous_fluid_invariants(inst):
 @settings(max_examples=60, **COMMON)
 @given(inst=unit_instances())
 def test_fastpath_equivalence(inst):
-    """The integer-grid fast path equals the exact simulation."""
-    from repro.algorithms import greedy_balance_makespan, round_robin_makespan
+    """The integer-grid fast path and RoundRobin's closed form equal
+    the exact simulation."""
+    from repro.algorithms import greedy_balance_makespan
 
     assert greedy_balance_makespan(inst) == GreedyBalance().run(inst).makespan
-    assert round_robin_makespan(inst) == RoundRobin().run(inst).makespan
+    assert round_robin_makespan_formula(inst) == RoundRobin().run(inst).makespan
 
 
 @settings(max_examples=60, **COMMON)
