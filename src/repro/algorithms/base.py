@@ -415,8 +415,12 @@ def _prefix_fill(state, at: np.ndarray | None, eligible, capacity: float) -> np.
     if eligible is not None:
         useful = np.where(eligible, useful, 0.0)
     u = useful if at is None else useful.take(at)
-    taken_before = np.cumsum(u, axis=-1) - u
-    grants = np.clip(capacity - taken_before, 0.0, u)
+    # grants = clip(capacity - (cumsum(u) - u), 0, u), in place.
+    grants = u.cumsum(axis=-1)
+    grants -= u
+    np.subtract(capacity, grants, out=grants)
+    np.maximum(grants, 0.0, out=grants)
+    np.minimum(grants, u, out=grants)
     if at is None:
         return grants
     shares = np.zeros(useful.shape)
@@ -474,48 +478,43 @@ def _fill_arrays_multi(
     """
     k, m = req_matrix.shape
     shares = np.zeros((k, m), dtype=np.float64)
-    fraction_cap = np.zeros(m, dtype=np.float64)
-    positive = rstar > 0.0
-    fraction_cap[positive] = np.minimum(
-        1.0, remaining[positive] / rstar[positive]
+    fraction_cap = np.divide(
+        remaining, rstar, out=np.zeros(m, dtype=np.float64), where=rstar > 0.0
     )
-    left = np.full(k, capacity, dtype=np.float64)
+    np.minimum(fraction_cap, 1.0, out=fraction_cap)
     pending = order[fraction_cap[order] > 0.0]
+    left = np.full(k, capacity, dtype=np.float64)
     while pending.size:
-        fc = fraction_cap[pending]
-        consume = fc[None, :] * req_matrix[:, pending]  # (k, p) full grants
-        over = (
-            np.cumsum(consume, axis=1) > left[:, None] + _FILL_EPS
-        ).any(axis=0)
-        if not over.any():
+        req = req_matrix[:, pending]  # gathered once per round
+        consume = fraction_cap[pending] * req  # (k, p) full grants
+        over = np.logical_or.reduce(consume.cumsum(axis=1) > left[:, None] + _FILL_EPS)
+        first = int(over.argmax())
+        if not over[first]:
             shares[:, pending] = consume
             break
-        first = int(np.argmax(over))
-        fully = pending[:first]
-        if fully.size:
+        if first:
             grants = consume[:, :first]
-            shares[:, fully] = grants
-            left -= grants.sum(axis=1)
+            shares[:, pending[:first]] = grants
+            left -= np.add.reduce(grants, axis=1)
         # Partial grant at the first over-committing processor: the
         # binding resource caps its speed fraction.
-        i = int(pending[first])
-        needs = req_matrix[:, i]
-        needed = needs > 0.0
+        i = pending[first]
+        needs = req[:, first]
         fraction = min(
-            float(fraction_cap[i]), float((left[needed] / needs[needed]).min())
+            [float(fraction_cap[i])]
+            + [room / need for room, need in zip(left.tolist(), needs.tolist()) if need > 0.0]
         )
         if fraction > 0.0:
             grant = fraction * needs
             shares[:, i] = grant
             left -= grant
         np.maximum(left, 0.0, out=left)
-        pending = pending[first + 1 :]
-        if pending.size:
-            # Retire processors whose needed resources are exhausted.
-            blocked = (
-                (req_matrix[:, pending] > 0.0) & (left[:, None] <= _FILL_EPS)
-            ).any(axis=0)
-            pending = pending[~blocked]
+        # Retire the served prefix and the processors whose needed
+        # resources are exhausted; in the common case nothing is left.
+        blocked = np.logical_or.reduce(
+            (req[:, first + 1 :] > 0.0) & (left[:, None] <= _FILL_EPS)
+        )
+        pending = pending[first + 1 :][~blocked]
     return shares
 
 

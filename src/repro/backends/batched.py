@@ -19,8 +19,9 @@ and advances all of them with one shared array program per step:
   :class:`~repro.backends.vector.BagSelection` of id permutations
   whose instances are built only if read;
 * completion tests and release unmasking are batched boolean masks;
-  successor loading is one flat gather and scatter per field from the
-  sentinel-padded tables, so a drained queue needs no branch;
+  successor loading is one flat gather from the sentinel-padded job
+  table and one scatter into the active block, every field at once,
+  so a drained queue needs no branch;
 * every lane terminates early -- a finished lane's processors hold
   zero remaining work, so it receives all-zero shares and rides along
   masked; once the live fraction of a large batch drops below the
@@ -67,7 +68,7 @@ from ..exceptions import (
 )
 from ..telemetry import get_session
 from .base import resolve_objectives
-from .vector import BagSelection, JobTableState
+from .vector import BagSelection, JobTableState, bottleneck_work
 
 __all__ = [
     "BatchVectorState",
@@ -90,7 +91,7 @@ class BatchVectorState(JobTableState):
     zero remaining work, zero requirements, weight 0, deadline
     ``inf``, and release time 0 -- it is never pending, never active,
     and contributes exact zeros to every reduction.  A padded resource
-    row is all zeros.  The job tables end every queue in the sentinel
+    row is all zeros.  The job table ends every queue in the sentinel
     column of :func:`~repro.backends.vector.job_tables`.
 
     Attributes:
@@ -130,22 +131,20 @@ class BatchVectorState(JobTableState):
         "active_weights",
         "active_deadlines",
         "resource_spent",
-        "_req",
-        "_reqk",
-        "_work",
-        "_wgt",
-        "_dl",
+        "_table",
+        "_active",
+        "_flat_table",
+        "_flat_active",
         "_release",
         "_released",
         "_all_released",
     )
 
-    #: Lane-indexed arrays that :meth:`compact` slices.
+    #: Lane-indexed arrays that :meth:`compact` slices (besides the
+    #: job table and active block, whose lane axis is axis 1).
     _PER_LANE = (
         "_lanes", "lane_num_processors", "lane_num_resources", "num_jobs",
-        "done", "_req", "_work", "_wgt", "_dl", "_release", "_released",
-        "remaining", "active_requirements", "active_weights",
-        "active_deadlines", "resource_spent",
+        "done", "_release", "_released", "resource_spent",
     )
 
     def __init__(self, instances: Sequence[Instance] | BagSelection) -> None:
@@ -157,11 +156,11 @@ class BatchVectorState(JobTableState):
         self.selection = instances
         self._lanes = np.arange(self.num_lanes)
         self.t = 0
-        self.num_jobs, self._release, jobs, self._reqk = instances.tables()
+        self.num_jobs, self._release, table = instances.tables()
         self.lane_num_processors = np.array([len(lane) for lane in instances.queues])
         self.lane_num_resources = np.array(instances.lane_num_resources)
         self.num_resources = int(self.lane_num_resources.max())
-        self._start_views(jobs)
+        self._start_views(table)
 
     @property
     def instances(self) -> tuple[Instance, ...]:
@@ -198,15 +197,10 @@ class BatchVectorState(JobTableState):
         for name in self._PER_LANE:
             setattr(self, name, getattr(self, name)[idx])
         self._all_released = bool(self._released.all())
-        if self._reqk is None:
-            # The k == 1 share-matrix view aliases active_requirements;
-            # slicing produced a fresh array, so rebuild the view.
-            self.active_req_matrix = self.active_requirements.reshape(
-                self.num_lanes, 1, self.num_processors
-            )
-        else:
-            self._reqk = self._reqk[idx]
-            self.active_req_matrix = self.active_req_matrix[idx]
+        # take along an axis allocates C order, which the flat views need.
+        self._table = self._table.take(idx, axis=1)
+        self._active = self._active.take(idx, axis=1)
+        self._bind_views()
 
 
 class _LaneView:
@@ -449,13 +443,12 @@ class BatchVectorRuntime:
             work = np.minimum(shares, state.active_requirements)
             np.minimum(work, state.remaining, out=work)
             np.maximum(work, 0.0, out=work)
-            state.remaining -= work
             spent = work.sum(axis=1)
             state.resource_spent[:, 0] += spent
         else:
             work = self._multi_work(shares)
-            state.remaining -= work
             spent = work.sum(axis=1)
+        state.remaining -= work
         slots = np.flatnonzero(had_work & (state.remaining <= self.tol))
         jobs = state.advance(slots) if slots.size else slots
         state.t += 1
@@ -464,37 +457,13 @@ class BatchVectorRuntime:
     def _multi_work(self, shares: np.ndarray) -> np.ndarray:
         """Per-processor work under a ``(B, k, m)`` share tensor.
 
-        The bottleneck rule, elementwise over lanes; single-resource
-        lanes in a mixed batch are overridden with the scalar rule so
-        every lane stays bit-identical to its standalone vector run.
+        The bottleneck rule of :func:`~repro.backends.vector.bottleneck_work`,
+        elementwise over lanes; single-resource lanes in a mixed batch
+        take the scalar rule so every lane stays bit-identical to its
+        standalone vector run.
         """
-        state = self.state
-        req = state.active_req_matrix  # (B, k, m)
-        rstar = state.active_requirements  # (B, m)
-        needed = req > 0.0
-        ratio = np.divide(
-            np.minimum(shares, req),
-            req,
-            out=np.full_like(req, np.inf),
-            where=needed,
-        )
-        fraction = ratio.min(axis=1)  # (B, m); inf where nothing needed
-        positive = rstar > 0.0
-        work = np.zeros_like(rstar)
-        work[positive] = np.minimum(
-            fraction[positive] * rstar[positive], state.remaining[positive]
-        )
-        np.maximum(work, 0.0, out=work)
-        scalar = state.lane_num_resources == 1
-        if scalar.any():
-            row = np.minimum(shares[:, 0, :], rstar)
-            scalar_work = np.minimum(row, state.remaining)
-            np.maximum(scalar_work, 0.0, out=scalar_work)
-            work[scalar] = scalar_work[scalar]
-        progress = np.zeros_like(work)
-        progress[positive] = work[positive] / rstar[positive]
-        state.resource_spent += (req * progress[:, None, :]).sum(axis=2)
-        return work
+        scalar = self.state.lane_num_resources == 1
+        return bottleneck_work(self.state, shares, scalar if scalar.any() else None)
 
     # ------------------------------------------------------------------
     # The batched loop
@@ -543,7 +512,7 @@ class BatchVectorRuntime:
         # finish[b, i, j]: 0-based completion step of job j on queue i
         # of original lane b.
         finish = (
-            np.zeros(state._work.shape, dtype=np.int64) if objectives else None
+            np.zeros(state._table.shape[1:], dtype=np.int64) if objectives else None
         )
         makespans = np.zeros(B, dtype=np.int64)
         jobs_left = state.num_jobs.sum(axis=1)

@@ -60,59 +60,68 @@ class JobTableState:
 
     :class:`VectorState` and
     :class:`~repro.backends.batched.BatchVectorState` hold their jobs
-    in the one table layout of :func:`job_tables` (a single state is
-    the ``B == 1`` case) and keep per-processor arrays shaped like
-    ``num_jobs``: ``(m,)`` for one lane, ``(B, m)`` for a batch,
-    indexed in flat C order (slot ``lane * m + i``).
+    as one block each (a single state is the ``B == 1`` case).  The
+    padded job table of :func:`job_tables` is ``(F, ..., m, n + 1)``;
+    the active jobs' fields are the ``(F, ..., m)`` block ``_active``.
+    Both have ``F`` rows: requirement, work, weight, deadline, then
+    the ``k`` per-resource requirements when ``k > 1``.
+    ``active_requirements``, ``remaining``, ``active_weights`` and
+    ``active_deadlines`` are rows 0-3 of the active block, and
+    ``active_req_matrix`` is rows ``4:`` (row ``0:1`` when
+    ``k == 1``: the requirement row itself), read as ``(B, k, m)`` by
+    a batch.  Every view writes through to the block.  Per-processor
+    arrays are shaped like ``num_jobs``: ``(m,)`` for one lane,
+    ``(B, m)`` for a batch, indexed in flat C order (slot
+    ``lane * m + i``).
     """
 
     __slots__ = ()
 
-    def _start_views(self, jobs: np.ndarray) -> None:
-        """Give a fresh state its tables, counters and first jobs' active views.
+    def _start_views(self, table: np.ndarray) -> None:
+        """Give a fresh state its table, counters and first jobs' active block.
 
-        *jobs* is the requirement / work / weight / deadline block of
-        :func:`job_tables` for this state's lanes.  Processors not
-        released at step 0 stay masked -- the empty job's zeros and
-        ``inf`` deadline -- until :meth:`begin_step` unmasks them.
+        *table* is the C-contiguous block of :func:`job_tables` for
+        this state's lanes (the flat views must alias it).  Processors
+        not released at step 0 stay masked -- the sentinel's empty job
+        -- until :meth:`begin_step` unmasks them.
         """
         shape = self.num_jobs.shape
-        lead, m, k = shape[:-1], shape[-1], self.num_resources
-        self._req, self._work, self._wgt, self._dl = jobs
         released = self._released = self._release <= 0
         self._all_released = bool(released.all())
         self.done = np.zeros(shape, dtype=np.int64)
-        self.resource_spent = np.zeros(lead + (k,))
+        self.resource_spent = np.zeros(shape[:-1] + (self.num_resources,))
+        self._table = table
         # The last column is a sentinel on every queue: the empty job.
+        self._active = np.where(released, table[..., 0], table[..., -1])
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """Point the field views at the rows of ``_table`` / ``_active``.
+
+        Called whenever either block is replaced (growth, compaction).
+        """
+        active = self._active
+        rows = active.shape[0]
+        self._flat_table = self._table.reshape(rows, -1)
+        self._flat_active = active.reshape(rows, -1)
         (
             self.active_requirements,
             self.remaining,
             self.active_weights,
             self.active_deadlines,
-        ) = np.where(released, jobs[..., 0], jobs[..., -1])
-        self.active_req_matrix = (
-            self.active_requirements.reshape(lead + (1, m))  # k == 1: the same array
-            if self._reqk is None
-            else np.where(released[..., None, :], self._reqk[..., 0], 0.0)
-        )
+        ) = active[:4]
+        req = active[4:] if rows > 4 else active[:1]
+        # (k, m) for one lane; a batch's (k, B, m) rows read as (B, k, m).
+        self.active_req_matrix = req if req.ndim == 2 else req.swapaxes(0, 1)
 
     def _load_jobs(self, slots: np.ndarray, columns: np.ndarray) -> None:
-        """Load job ``columns[s]`` of each slot into the active views.
+        """Load job ``columns[s]`` of each slot into the active block.
 
-        One gather and one scatter per field: a *columns* entry equal
-        to the queue length loads the sentinel's empty job.
+        One gather and one scatter of every field row: a *columns*
+        entry equal to the queue length loads the sentinel's empty job.
         """
-        width = self._work.shape[-1]
-        at = slots * width + columns
-        self.remaining.put(slots, self._work.take(at))
-        self.active_requirements.put(slots, self._req.take(at))
-        self.active_weights.put(slots, self._wgt.take(at))
-        self.active_deadlines.put(slots, self._dl.take(at))
-        if self._reqk is not None:
-            k, m = self.active_req_matrix.shape[-2:]
-            lane, i = np.divmod(slots, m)
-            rows = (lane * (k * m) + i)[:, None] + np.arange(0, k * m, m)
-            self.active_req_matrix.put(rows, self._reqk.take(rows * width + columns[:, None]))
+        at = slots * self._table.shape[-1] + columns
+        self._flat_active[:, slots] = self._flat_table.take(at, axis=1)
 
     @property
     def num_processors(self) -> int:
@@ -190,9 +199,9 @@ class VectorState(JobTableState):
             requirement ``r_ij`` of the active job (0.0 once finished
             or before release) -- the speed cap of Eq. (1).
         active_req_matrix: ``(k, m)`` per-resource requirements of the
-            active jobs (the single-resource state aliases it to
-            ``active_requirements`` reshaped, so the share-matrix view
-            exists for every ``k``).
+            active jobs (for ``k == 1``, the ``active_requirements``
+            row itself, so the share-matrix view exists for every
+            ``k``).
         active_weights: per processor, the objective weight ``w_ij`` of
             the active job (0.0 once finished or before release) --
             read by flow-tuned policies such as ``weighted-srpt``.
@@ -216,31 +225,31 @@ class VectorState(JobTableState):
         "active_deadlines",
         "resource_spent",
         "num_resources",
-        "_req",
-        "_reqk",
-        "_work",
-        "_wgt",
-        "_dl",
+        "_table",
+        "_active",
+        "_flat_table",
+        "_flat_active",
+        "_left",
         "_release",
         "_released",
         "_all_released",
     )
 
     def __init__(self, instance: Instance) -> None:
-        # Padded per-job tables: past its last job, every queue holds
+        # The padded job table: past its last job, every queue holds
         # the sentinel's empty job (see job_tables).
-        num_jobs, release, jobs, reqk = job_tables((instance,))
+        num_jobs, release, table = job_tables((instance,))
         self.num_jobs, self._release = num_jobs[0], release[0]
-        self._reqk = None if reqk is None else reqk[0]
+        self._left = instance.total_jobs
         self.instance = instance
         self.t = 0
         self.num_resources = instance.num_resources
-        self._start_views(jobs[:, 0])
+        self._start_views(table[:, 0])
 
     @property
     def all_done(self) -> bool:
         """True once every job on every processor has finished."""
-        return bool((self.done >= self.num_jobs).all())
+        return not self._left
 
     @property
     def waiting(self) -> bool:
@@ -250,13 +259,18 @@ class VectorState(JobTableState):
         """
         return not self._all_released
 
+    def advance(self, slots: np.ndarray) -> np.ndarray:
+        """Complete the active jobs at *slots* (see :class:`JobTableState`)."""
+        self._left -= slots.size
+        return JobTableState.advance(self, slots)
+
     def capture(self) -> dict:
         """JSON-serializable snapshot of the mutable float64 state.
 
         Floats survive JSON byte-exactly (``repr`` round-trips float64),
-        so :meth:`restore` is bit-identical.  The padded requirement /
-        work tables are immutable derivations of the instance and are
-        rebuilt, not captured.
+        so :meth:`restore` is bit-identical.  The padded job table is an
+        immutable derivation of the instance and is rebuilt, not
+        captured.
         """
         return {
             "t": self.t,
@@ -272,9 +286,8 @@ class VectorState(JobTableState):
         As with :meth:`repro.core.state.ExecState.restore`, the payload
         may describe fewer processors than the instance this state was
         built over (extension restores keep the new queues' fresh
-        state); the active-job views are recomputed from the padded
-        tables in place, which preserves the ``k == 1`` aliasing of
-        ``active_req_matrix``.
+        state); the active block is reloaded from the job table in
+        place, so every field view keeps aliasing it.
 
         Raises:
             CheckpointError: on malformed payloads or any inconsistency
@@ -318,38 +331,34 @@ class VectorState(JobTableState):
                 f"of {nn.tolist()} jobs"
             )
         idx = np.arange(mm)
+        table = self._table
+        jobs = table[:, idx, done]
         # Column done of a drained queue is its sentinel: capacity 0.
-        cap = self._work[idx, done]
-        if (remaining < 0.0).any() or (remaining > cap).any():
+        if (remaining < 0.0).any() or (remaining > jobs[1]).any():
             raise CheckpointError(
                 f"remaining work {remaining.tolist()} outside [0, work] "
                 "for the active jobs"
             )
         self.t = t
         self.done[:mm] = done
-        self.remaining[:mm] = remaining
-        self.resource_spent[:] = spent
+        self._left = int((self.num_jobs - self.done).sum())
         self._released[:mm] = released
         self._all_released = bool(self._released.all())
-        self.active_requirements[:mm] = np.where(released, self._req[idx, done], 0.0)
-        self.active_weights[:mm] = np.where(released, self._wgt[idx, done], 0.0)
-        self.active_deadlines[:mm] = np.where(released, self._dl[idx, done], np.inf)
-        if self._reqk is not None:
-            self.active_req_matrix[:, :mm] = np.where(
-                released[None, :], self._reqk[:, idx, done], 0.0
-            )
+        self._active[:, :mm] = np.where(released, jobs, table[:, idx, -1])
+        self.remaining[:mm] = remaining
+        self.resource_spent[:] = spent
 
     def extend(self, instance: Instance, processor: int) -> None:
         """Adopt *instance*: this state's instance plus one job on *processor*.
 
-        Writes only the new job's column into the padded tables, which
-        double their width when the job would take a queue's last
+        Writes only the new job's column into the padded table, which
+        doubles its width when the job would take a queue's last
         column, so every queue keeps its sentinel (see
         :func:`job_tables`); a new processor adds one lane, released at
         its release time like the lanes of a fresh state.  The
         resulting state equals a checkpoint of this state restored
         into *instance*, including its known defect: on a queue that
-        had already drained, the active views load the new job but
+        had already drained, the active block loads the new job but
         ``remaining`` stays 0, so the job completes at its first active
         step without consuming work.
         """
@@ -358,66 +367,54 @@ class VectorState(JobTableState):
             self._add_lane(instance.release(processor))
         i = processor
         j = int(self.num_jobs[i])
-        if j + 1 == self._req.shape[1]:
-            self._grow_tables(2 * (j + 1))
-        self._req[i, j] = float(job.requirement)
-        self._work[i, j] = float(job.work)
-        self._wgt[i, j] = float(job.weight)
-        if job.deadline is not None:
-            self._dl[i, j] = float(job.deadline)
-        if self._reqk is not None:
-            for lane, r in enumerate(job.requirements):
-                self._reqk[lane, i, j] = float(r)
+        if j + 1 == self._table.shape[-1]:
+            self._grow_table(2 * (j + 1))
+        column = list(_job_fields(job))
+        if len(self._table) > 4:
+            column += [float(r) for r in job.requirements]
+        self._table[:, i, j] = column
         self.num_jobs[i] = j + 1
+        self._left += 1
         self.instance = instance
         if self._released[i] and self.done[i] == j:
             # The job becomes active at once: a new lane released at
             # step 0, or a drained queue (whose remaining stays 0, see
             # above).
-            if j == 0:
-                self.remaining[i] = self._work[i, 0]
-            self.active_requirements[i] = self._req[i, j]
-            self.active_weights[i] = self._wgt[i, j]
-            self.active_deadlines[i] = self._dl[i, j]
-            if self._reqk is not None:
-                self.active_req_matrix[:, i] = self._reqk[:, i, j]
+            remaining = self.remaining[i]
+            self._active[:, i] = self._table[:, i, j]
+            if j:
+                self.remaining[i] = remaining
 
     def _add_lane(self, release: int) -> None:
         """Append one empty, zero-masked processor lane."""
         released = release <= 0
         self.num_jobs = np.append(self.num_jobs, 0)
         self.done = np.append(self.done, 0)
-        self.remaining = np.append(self.remaining, 0.0)
-        self.active_requirements = np.append(self.active_requirements, 0.0)
-        self.active_weights = np.append(self.active_weights, 0.0)
-        self.active_deadlines = np.append(self.active_deadlines, np.inf)
         self._release = np.append(self._release, release)
         self._released = np.append(self._released, released)
         self._all_released = self._all_released and released
-        self._req = np.vstack([self._req, np.zeros_like(self._req[:1])])
-        self._work = np.vstack([self._work, np.zeros_like(self._work[:1])])
-        self._wgt = np.vstack([self._wgt, np.zeros_like(self._wgt[:1])])
-        self._dl = np.vstack([self._dl, np.full_like(self._dl[:1], np.inf)])
-        if self._reqk is None:
-            m = self.num_processors
-            self.active_req_matrix = self.active_requirements.reshape(1, m)
-        else:
-            self._reqk = np.concatenate(
-                [self._reqk, np.zeros_like(self._reqk[:, :1])], axis=1
-            )
-            self.active_req_matrix = np.concatenate(
-                [self.active_req_matrix, np.zeros_like(self.active_req_matrix[:, :1])],
-                axis=1,
-            )
+        # Lane 0's last column is a sentinel: the new lane is all empty jobs.
+        empty = self._table[:, :1, -1:]
+        self._active = np.concatenate([self._active, empty[..., 0]], axis=1)
+        self._table = np.concatenate(
+            [self._table, np.repeat(empty, self._table.shape[-1], axis=-1)], axis=1
+        )
+        self._bind_views()
 
-    def _grow_tables(self, capacity: int) -> None:
-        """Widen the padded per-job tables to *capacity* jobs per lane."""
-        self._req = _widened(self._req, capacity, 0.0)
-        self._work = _widened(self._work, capacity, 0.0)
-        self._wgt = _widened(self._wgt, capacity, 0.0)
-        self._dl = _widened(self._dl, capacity, np.inf)
-        if self._reqk is not None:
-            self._reqk = _widened(self._reqk, capacity, 0.0)
+    def _grow_table(self, capacity: int) -> None:
+        """Widen the padded job table to *capacity* jobs per lane."""
+        table = self._table
+        pad = np.repeat(table[..., -1:], capacity - table.shape[-1], axis=-1)
+        self._table = np.concatenate([table, pad], axis=-1)
+        self._bind_views()
+
+
+def _job_fields(job: Job) -> tuple[float, float, float, float]:
+    """*job*'s requirement / work / weight / deadline row entries."""
+    req = float(job.requirement)
+    work = req if job.size == 1 else float(job.work)
+    dl = np.inf if job.deadline is None else float(job.deadline)
+    return req, work, float(job.weight), dl
 
 
 class JobBag:
@@ -447,18 +444,27 @@ class JobBag:
             if row is None:
                 row = self._ids[job] = len(self.jobs)
                 self.jobs.append(job)
-                req = float(job.requirement)
-                work = req if job.size == 1 else float(job.work)
-                dl = np.inf if job.deadline is None else float(job.deadline)
-                self._rows.append((req, work, float(job.weight), dl))
+                self._rows.append(_job_fields(job))
                 self._table = self._weights = None
             out.append(row)
         return tuple(out)
 
-    def table(self) -> np.ndarray:
-        """``(4, R + 1)`` requirement / work / weight / deadline rows."""
-        if self._table is None:
-            self._table = np.array(self._rows + [(0.0, 0.0, 0.0, np.inf)]).T.copy()
+    def table(self, k: int = 1) -> np.ndarray:
+        """``(F, R + 1)`` field rows of the :func:`job_tables` layout.
+
+        Requirement / work / weight / deadline, then, for ``k > 1``,
+        one requirement row per resource (zeros past a job's own
+        resource count).
+        """
+        rows = 4 + k if k > 1 else 4
+        if self._table is None or len(self._table) != rows:
+            table = np.array(self._rows + [(0.0, 0.0, 0.0, np.inf)]).T
+            if k > 1:
+                reqs = np.zeros((k, table.shape[1]))
+                for row, job in enumerate(self.jobs):
+                    reqs[: len(job.requirements), row] = [float(r) for r in job.requirements]
+                table = np.concatenate([table, reqs])
+            self._table = np.ascontiguousarray(table)
         return self._table
 
     def weight_grid(self) -> tuple[np.ndarray | None, int]:
@@ -542,34 +548,26 @@ class BagSelection:
         return self._ids
 
     def tables(self) -> tuple:
-        """The lanes' tables, as :func:`job_tables` returns them.
+        """The lanes' table, as :func:`job_tables` returns it.
 
         ``np.take`` along an axis allocates C order; the step loop's
-        flat ``take`` calls would copy a strided table every step.
+        flat gathers would copy a strided table every step.
         """
         num_jobs, release, ids = self.row_ids()
-        table = self.bag.table()
-        jobs = np.take(table, ids, axis=1)
-        k = max(self.lane_num_resources)
-        reqk = None
-        if k > 1:
-            reqs = np.zeros((k, table.shape[1]))
-            for row, job in enumerate(self.bag.jobs):
-                reqs[: len(job.requirements), row] = [float(r) for r in job.requirements]
-            reqk = np.ascontiguousarray(np.take(reqs, ids, axis=1).swapaxes(0, 1))
-        return num_jobs, release, jobs, reqk
+        table = self.bag.table(max(self.lane_num_resources))
+        return num_jobs, release, np.take(table, ids, axis=1)
 
 
 def job_tables(instances) -> tuple:
-    """The padded per-job tables of a batch, one lane per instance.
+    """The padded job table of a batch, one lane per instance.
 
     *instances* is a sequence of instances or a :class:`BagSelection`.
-    Returns ``(num_jobs, release, jobs, reqk)``: ``(B, m)`` int64 job
-    counts and release steps, the ``(4, B, m, n + 1)`` float64
-    requirement / work / weight / deadline tables, and the
-    ``(B, k, m, n + 1)`` per-resource requirements (``None`` when
-    ``k == 1``), for the batch maxima ``m``, ``n`` and ``k``: a
-    :class:`JobBag` of the jobs, then one gather of its rows.  The one
+    Returns ``(num_jobs, release, table)``: ``(B, m)`` int64 job counts
+    and release steps, and the ``(F, B, m, n + 1)`` float64 job table
+    for the batch maxima ``m``, ``n`` and ``k`` -- a :class:`JobBag` of
+    the jobs, then one gather of its rows.  Its ``F`` field rows are
+    requirement (the bottleneck ``r*``), work, weight and deadline,
+    then, when ``k > 1``, the ``k`` per-resource requirements.  The one
     table layout of :class:`VectorState` (``B == 1``) and
     :class:`~repro.backends.batched.BatchVectorState`.
 
@@ -577,7 +575,7 @@ def job_tables(instances) -> tuple:
     least one per queue -- holds the *empty job*: work 0, requirement
     0, weight 0, deadline ``inf``, as do padded processors and
     resource rows.  Loading column ``done`` of a drained queue
-    therefore zeroes its active slot with no branch (see
+    therefore empties its active slot with no branch (see
     :meth:`JobTableState.advance`).
     """
     if not isinstance(instances, BagSelection):
@@ -585,11 +583,42 @@ def job_tables(instances) -> tuple:
     return instances.tables()
 
 
-def _widened(table: np.ndarray, capacity: int, fill: float) -> np.ndarray:
-    """A copy of *table* whose last axis is padded with *fill* to *capacity*."""
-    wide = np.full(table.shape[:-1] + (capacity,), fill, dtype=np.float64)
-    wide[..., : table.shape[-1]] = table
-    return wide
+def bottleneck_work(state, shares: np.ndarray, scalar: np.ndarray | None = None) -> np.ndarray:
+    """Per-processor work of a ``(..., k, m)`` share block; charges the ledger.
+
+    The bottleneck rule of the multi-resource model: a job runs at
+    speed fraction ``min_l min(s_l, r_l) / r_l`` over the resources it
+    needs, progresses ``fraction * r*`` bottleneck work units (capped
+    by its remaining work), and consumes ``progress_fraction * r_l`` of
+    every resource ``l`` (added to ``state.resource_spent``).  The
+    ``where=`` masks leave a processor with ``r* == 0`` at exact zero
+    work and progress.  *scalar*, a ``(B,)`` lane mask of a batch,
+    gives those lanes the single-resource rule
+    ``min(s_0, r*, remaining)`` instead, so a ``k == 1`` lane of a
+    mixed batch stays bit-identical to its standalone run.  Does not
+    subtract the work from ``state.remaining``.
+    """
+    req = state.active_req_matrix
+    rstar = state.active_requirements
+    needed = req > 0.0
+    ratio = np.minimum(shares, req)
+    np.divide(ratio, req, out=ratio, where=needed)
+    # The minimum over the needed resources; inf where a processor
+    # needs none (then r* == 0 too).
+    fraction = np.minimum.reduce(ratio, axis=-2, where=needed, initial=np.inf)
+    positive = rstar > 0.0
+    work = np.zeros(rstar.shape)
+    np.multiply(fraction, rstar, out=work, where=positive)
+    np.minimum(work, state.remaining, out=work, where=positive)
+    np.maximum(work, 0.0, out=work)
+    if scalar is not None:
+        row = np.minimum(shares[:, 0, :], rstar)
+        np.minimum(row, state.remaining, out=row)
+        np.maximum(row, 0.0, out=row)
+        work[scalar] = row[scalar]
+    progress = np.divide(work, rstar, out=np.zeros(rstar.shape), where=positive)
+    state.resource_spent += np.add.reduce(req * progress[..., None, :], axis=-1)
+    return work
 
 
 class VectorRuntime(KernelRuntime):
@@ -653,14 +682,17 @@ class VectorRuntime(KernelRuntime):
                 f"step {t} (expected {expected})"
             )
         # Written as "not inside" so NaN fails the test too.
-        lo, hi = shares.min(), shares.max()
+        lo = np.minimum.reduce(shares, axis=None)
+        hi = np.maximum.reduce(shares, axis=None)
         if not (lo >= -tol and hi <= 1.0 + tol):
             raise InfeasibleAssignmentError(
                 f"step {t}: share outside [0, 1] (min={lo}, max={hi})"
             )
-        # Per-resource capacity: sum over processors (the flat vector
-        # is the k=1 row of the same formulation).
-        worst = float(shares.sum(axis=-1).max())
+        # Per-resource capacity: sum over processors.
+        if self._k == 1:
+            worst = float(np.add.reduce(shares))
+        else:
+            worst = float(np.add.reduce(shares, axis=-1).max())
         if not worst <= 1.0 + tol:
             raise InfeasibleAssignmentError(
                 f"step {t}: resource overused (sum of shares = "
@@ -675,20 +707,20 @@ class VectorRuntime(KernelRuntime):
         if self._k == 1:
             # Eq. (1)/(2): the requirement caps useful speed; a job
             # cannot absorb more than its remaining work in one step.
-            speed = np.minimum(shares, state.active_requirements)
-            work = np.minimum(speed, state.remaining)
+            work = np.minimum(shares, state.active_requirements)
+            np.minimum(work, state.remaining, out=work)
             np.maximum(work, 0.0, out=work)
-            state.remaining -= work
-            state.resource_spent[0] += float(work.sum())
+            total = float(np.add.reduce(work))
+            state.resource_spent[0] += total
         else:
-            work = self._multi_work(shares)
-            state.remaining -= work
-        finished = np.flatnonzero(had_work & (state.remaining <= tol))
+            work = bottleneck_work(state, shares)
+            total = float(np.add.reduce(work))
+        state.remaining -= work
+        finished = (had_work & (state.remaining <= tol)).nonzero()[0]
         completed: tuple[tuple[int, int], ...] = ()
         if finished.size:
             jobs = state.advance(finished)
             completed = tuple(zip(finished.tolist(), jobs.tolist()))
-        progressed = bool(finished.size) or float(work.sum()) > tol
         t = state.t
         state.t += 1
         return StepEvent(
@@ -697,40 +729,8 @@ class VectorRuntime(KernelRuntime):
             processed=work,
             completed=completed,
             had_work=had_work,
-            progressed=progressed,
+            progressed=bool(finished.size) or total > tol,
         )
-
-    def _multi_work(self, shares: np.ndarray) -> np.ndarray:
-        """Per-processor work under a ``(k, m)`` share matrix.
-
-        The bottleneck rule of the multi-resource model: a job runs at
-        speed fraction ``min_l min(s_l, r_l) / r_l`` over the
-        resources it needs, progresses ``fraction * r*`` bottleneck
-        work units (capped by its remaining work), and consumes
-        ``progress_fraction * r_l`` of every resource ``l`` (tracked
-        in ``resource_spent``).
-        """
-        state = self.state
-        req = state.active_req_matrix  # (k, m)
-        rstar = state.active_requirements
-        needed = req > 0.0
-        ratio = np.divide(
-            np.minimum(shares, req),
-            req,
-            out=np.full_like(req, np.inf),
-            where=needed,
-        )
-        fraction = ratio.min(axis=0)  # inf where no resource is needed
-        positive = rstar > 0.0
-        work = np.zeros(state.num_processors, dtype=np.float64)
-        work[positive] = np.minimum(
-            fraction[positive] * rstar[positive], state.remaining[positive]
-        )
-        np.maximum(work, 0.0, out=work)
-        progress = np.zeros_like(work)
-        progress[positive] = work[positive] / rstar[positive]
-        state.resource_spent += (req * progress[None, :]).sum(axis=1)
-        return work
 
     def describe_progress(self) -> str:
         """Completed-job counts, for limit-error messages."""

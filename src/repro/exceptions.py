@@ -42,10 +42,11 @@ class InvalidInstanceError(ReproError, ValueError):
     """
 
 
-class InvalidScheduleError(ReproError):
+class InvalidScheduleError(ReproError, ValueError):
     """A :class:`~repro.core.schedule.Schedule` is malformed or does not
     match the instance it is validated against (wrong processor count,
     shares outside ``[0,1]``, resource overuse, or jobs left unfinished).
+    Also a ``ValueError``, as :class:`InvalidInstanceError` is.
     """
 
 

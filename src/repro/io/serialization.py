@@ -179,22 +179,42 @@ def _job_in(doc: dict[str, Any]) -> Job:
     )
 
 
+def _document(data: Any, kind: str, fmt: str, versions, error: type[ReproError]) -> None:
+    """Check *data*'s format tag and version; *error* if it is no *kind* document."""
+    if not isinstance(data, dict) or data.get("format") != fmt:
+        tag = data.get("format") if isinstance(data, dict) else type(data).__name__
+        raise error(f"not a CRSharing {kind} document: {tag!r}")
+    if data.get("version") not in versions:
+        raise error(f"unsupported version {data.get('version')!r}")
+
+
+def _malformed(kind: str, exc: Exception) -> str:
+    return f"malformed {kind} document ({type(exc).__name__}: {exc})"
+
+
 def instance_from_dict(data: dict[str, Any]) -> Instance:
     """Inverse of :func:`instance_to_dict` (accepts versions 1, 2, 3).
 
     Raises:
-        InvalidInstanceError: (a ``ValueError``) on schema mismatch,
-            including a ``resources`` count that contradicts the job
-            requirement vectors.
+        InvalidInstanceError: (a ``ValueError``) on schema mismatch --
+            a foreign or unversioned document, a missing key, a value
+            that is no rational, a ``resources`` count that contradicts
+            the job requirement vectors -- chained to the underlying
+            error where there is one.
     """
-    if data.get("format") != _INSTANCE_FORMAT:
-        raise InvalidInstanceError(f"not a CRSharing instance document: {data.get('format')!r}")
-    if data.get("version") not in (_VERSION, _VERSION_MULTI, _VERSION_OBJECTIVE):
-        raise InvalidInstanceError(f"unsupported version {data.get('version')!r}")
-    instance = Instance(
-        [[_job_in(job) for job in queue] for queue in data["processors"]],
-        releases=data.get("releases"),
+    _document(
+        data, "instance", _INSTANCE_FORMAT,
+        (_VERSION, _VERSION_MULTI, _VERSION_OBJECTIVE), InvalidInstanceError,
     )
+    try:
+        instance = Instance(
+            [[_job_in(job) for job in queue] for queue in data["processors"]],
+            releases=data.get("releases"),
+        )
+    except InvalidInstanceError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInstanceError(_malformed("instance", exc)) from exc
     declared = data.get("resources")
     if declared is not None and declared != instance.num_resources:
         raise InvalidInstanceError(
@@ -217,14 +237,22 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
 
 
 def schedule_from_dict(data: dict[str, Any]) -> Schedule:
-    """Inverse of :func:`schedule_to_dict` (re-validates on load)."""
-    if data.get("format") != _SCHEDULE_FORMAT:
-        raise ValueError(f"not a CRSharing schedule document: {data.get('format')!r}")
-    if data.get("version") != _VERSION:
-        raise ValueError(f"unsupported version {data.get('version')!r}")
-    instance = instance_from_dict(data["instance"])
-    rows = [[_frac_in(x) for x in row] for row in data["shares"]]
-    return Schedule(instance, rows)
+    """Inverse of :func:`schedule_to_dict` (re-validates on load).
+
+    Raises:
+        InvalidScheduleError: (a ``ValueError``) on a foreign or
+            unversioned document, a missing key or a share that is no
+            rational, chained to the underlying error where there is
+            one.
+        InvalidInstanceError: when the embedded instance is malformed.
+    """
+    _document(data, "schedule", _SCHEDULE_FORMAT, (_VERSION,), InvalidScheduleError)
+    try:
+        instance_doc, shares = data["instance"], data["shares"]
+        rows = [[_frac_in(x) for x in row] for row in shares]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidScheduleError(_malformed("schedule", exc)) from exc
+    return Schedule(instance_from_dict(instance_doc), rows)
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:

@@ -22,19 +22,28 @@ def test_equal_jobs_share_a_row():
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_gathered_tables_are_c_contiguous(k):
+def test_gathered_table_is_one_c_contiguous_block(k):
     lanes = [uniform_instance(4, 3, seed=s) for s in range(3)]
     if k > 1:
         lanes = [with_resources(inst, k, seed=1) for inst in lanes]
-    lanes.append(Instance([[Job("1/2")]]))  # ragged m and n
-    num_jobs, release, jobs, reqk = job_tables(lanes)
-    assert jobs.flags["C_CONTIGUOUS"]
-    assert (reqk is None) == (k == 1)
-    if reqk is not None:
-        assert reqk.flags["C_CONTIGUOUS"]
-        assert reqk.shape == (4, k) + jobs.shape[2:]
+    lanes.append(Instance([[Job("1/2")]]))  # ragged m and n (and k)
+    num_jobs, release, table = job_tables(lanes)
+    assert table.flags["C_CONTIGUOUS"]
+    # Requirement, work, weight, deadline, then k per-resource rows.
+    assert table.shape == (4 + k if k > 1 else 4,) + num_jobs.shape + (4,)
     # Every queue ends in the sentinel's empty job.
-    assert (jobs[1][np.arange(jobs.shape[3]) >= num_jobs[..., None]] == 0).all()
+    pad = np.arange(table.shape[3]) >= num_jobs[..., None]
+    assert (np.delete(table, 3, axis=0)[:, pad] == 0).all()
+    assert (table[3][pad] == np.inf).all()
+    for b, lane in enumerate(lanes):
+        for i, queue in enumerate(lane.queues):
+            for j, job in enumerate(queue):
+                column = table[:, b, i, j]
+                assert column[0] == float(job.requirement)
+                assert column[1] == float(job.work)
+                if k > 1:
+                    reqs = [float(r) for r in job.requirements]
+                    assert list(column[4:]) == reqs + [0.0] * (k - len(reqs))
 
 
 def test_id_lanes_run_without_instances(monkeypatch):

@@ -387,7 +387,7 @@ class TestTableWidthBoundary:
         live.extend(job("1/3", 2), processor)
         assert live.instance.num_jobs(processor) == live.instance.max_jobs
         # The extended queue still ends in a sentinel column.
-        assert live.state._work.shape[1] > live.instance.max_jobs
+        assert live.state._table.shape[-1] > live.instance.max_jobs
         reference = restore_runtime(
             checkpoint_run(reference), instance=live.instance
         )

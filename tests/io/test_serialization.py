@@ -234,3 +234,55 @@ class TestUnreadableFiles:
     def test_missing_file_stays_an_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_instance(tmp_path / "absent.json")
+
+
+class TestMalformedDocuments:
+    """The dict loaders raise the typed error, chained, on bad documents."""
+
+    def test_missing_processors_key(self):
+        with pytest.raises(InvalidInstanceError, match="KeyError") as info:
+            instance_from_dict({"format": "crsharing-instance", "version": 1})
+        assert isinstance(info.value.__cause__, KeyError)
+
+    @pytest.mark.parametrize("job", [{"r": "x", "p": 1}, {"r": "1/2"}, {"r": None, "p": 1}])
+    def test_bad_job_fields(self, job):
+        doc = {"format": "crsharing-instance", "version": 1, "processors": [[job]]}
+        with pytest.raises(InvalidInstanceError, match="malformed instance document") as info:
+            instance_from_dict(doc)
+        assert isinstance(info.value.__cause__, (KeyError, ValueError))
+
+    def test_processors_not_a_list(self):
+        with pytest.raises(InvalidInstanceError) as info:
+            instance_from_dict({"format": "crsharing-instance", "version": 1, "processors": 5})
+        assert isinstance(info.value.__cause__, TypeError)
+
+    def test_non_dict_document(self):
+        with pytest.raises(InvalidInstanceError, match="not a CRSharing instance"):
+            instance_from_dict([1, 2])
+        with pytest.raises(InvalidScheduleError, match="not a CRSharing schedule"):
+            schedule_from_dict("schedule")
+
+    def test_model_violations_keep_their_message(self):
+        doc = {"format": "crsharing-instance", "version": 1, "processors": [[{"r": 2, "p": 1}]]}
+        with pytest.raises(InvalidInstanceError, match=r"\[0, 1\]"):
+            instance_from_dict(doc)
+
+    def test_instance_document_is_no_schedule(self, two_proc_instance):
+        with pytest.raises(InvalidScheduleError, match="not a CRSharing schedule"):
+            schedule_from_dict(instance_to_dict(two_proc_instance))
+
+    def test_schedule_version_and_keys(self, two_proc_instance):
+        data = schedule_to_dict(GreedyBalance().run(two_proc_instance))
+        with pytest.raises(InvalidScheduleError, match="version"):
+            schedule_from_dict({**data, "version": 99})
+        with pytest.raises(InvalidScheduleError, match="KeyError") as info:
+            schedule_from_dict({k: v for k, v in data.items() if k != "shares"})
+        assert isinstance(info.value.__cause__, KeyError)
+        data["shares"][0][0] = "half"
+        with pytest.raises(InvalidScheduleError, match="ValueError"):
+            schedule_from_dict(data)
+
+    def test_schedule_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            schedule_from_dict({"format": "bogus"})
+        assert issubclass(InvalidScheduleError, ValueError)

@@ -45,13 +45,18 @@ class TestExperiment:
 class TestUnreadableInstanceFiles:
     """Bad instance files end in one error line and exit status 2."""
 
-    @pytest.fixture(params=["malformed", "missing", "foreign"])
+    @pytest.fixture(params=["malformed", "missing", "foreign", "keyless", "bad-job"])
     def bad_file(self, request, tmp_path):
         path = tmp_path / f"{request.param}.json"
+        header = {"format": "crsharing-instance", "version": 1}
         if request.param == "malformed":
             path.write_text("{bad")
         elif request.param == "foreign":
             path.write_text(json.dumps({"queues": 5}))
+        elif request.param == "keyless":
+            path.write_text(json.dumps(header))
+        elif request.param == "bad-job":
+            path.write_text(json.dumps({**header, "processors": [[{"r": "x", "p": 1}]]}))
         return request.param, path
 
     @pytest.mark.parametrize("command", ["schedule", "certify", "solve"])
@@ -67,6 +72,8 @@ class TestUnreadableInstanceFiles:
             "malformed": "not valid JSON",
             "missing": "No such file or directory",
             "foreign": "not a CRSharing instance document",
+            "keyless": "malformed instance document (KeyError",
+            "bad-job": "malformed instance document (ValueError",
         }[kind]
         assert expected in captured.err
 
@@ -333,6 +340,15 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("crsharing: error: ")
         assert err.count("\n") == 1
+
+
+    def test_instance_file_is_no_schedule(self, instance_file, capsys):
+        assert main(["verify", str(instance_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("crsharing: error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert "not a CRSharing schedule document" in captured.err
 
 
 class TestCertify:
