@@ -55,7 +55,7 @@ __all__ = [
     "water_fill_multi",
     "water_fill_array",
     "water_fill_array_multi",
-    "water_fill_array_batch",
+    "scalar_lanes",
     "sort_key",
     "register_policy",
     "get_policy",
@@ -89,16 +89,21 @@ class Policy:
         """Return the per-processor share vector for the current step."""
         raise NotImplementedError
 
-    def shares_array(self, state: "VectorState") -> np.ndarray:
-        """Vectorized variant of :meth:`shares` for the float backend.
+    def shares_array(self, state: "VectorState | BatchVectorState") -> np.ndarray:
+        """Vectorized variant of :meth:`shares` for the float engines.
 
-        Receives a :class:`repro.backends.vector.VectorState` (NumPy
-        float64 view of the execution state) and returns one float64
-        share per processor.  Must implement the *same* rule as
-        :meth:`shares` so the backends agree; the cross-validation
-        suite enforces agreement within tolerance.  The returned array
-        must be freshly allocated (never a view of the state's arrays):
-        the kernel records it as the step's share row.
+        Receives a :class:`repro.backends.vector.VectorState` (one
+        lane: ``(m,)`` / ``(k, m)`` float64 arrays) or a
+        :class:`repro.backends.batched.BatchVectorState` (``B`` padded
+        lanes: ``(B, m)`` / ``(B, k, m)``) and returns shares of the
+        matching shape: ``(m,)`` or ``(B, m)`` when the state has one
+        resource, ``(k, m)`` or ``(B, k, m)`` otherwise.  Must
+        implement the *same* rule as :meth:`shares` for every lane so
+        the engines agree; the cross-validation suite enforces
+        agreement within tolerance.  Lanes that have finished (all
+        remaining work zero) must receive all-zero rows.  The returned
+        array must be freshly allocated (never a view of the state's
+        arrays): the kernel records it as the step's share row.
 
         The default raises -- policies without a vectorized path can
         only run on the exact backend.
@@ -112,32 +117,6 @@ class Policy:
     def supports_vector(self) -> bool:
         """True iff this policy overrides :meth:`shares_array`."""
         return type(self).shares_array is not Policy.shares_array
-
-    def shares_batch(self, state: "BatchVectorState") -> np.ndarray:
-        """Batched variant of :meth:`shares_array` for the batch engine.
-
-        Receives a :class:`repro.backends.batched.BatchVectorState`
-        (``B`` padded instance lanes as ``(B, m)`` / ``(B, k, m)``
-        float64 arrays) and returns one share row per lane -- ``(B, m)``
-        for single-resource batches, ``(B, k, m)`` otherwise.  Must
-        implement the *same* rule as :meth:`shares_array` applied lane
-        by lane; the crosscheck suite enforces agreement within the
-        backend tolerance.  Lanes that have finished (all remaining
-        work zero) must receive all-zero rows.
-
-        The default raises -- the batch engine then falls back to
-        stepping such policies lane by lane through their
-        :meth:`shares_array` path (correct, but without the batched
-        speedup).
-        """
-        raise VectorizationUnsupportedError(
-            f"policy {self.name!r} has no batched shares_batch path"
-        )
-
-    @property
-    def supports_batch(self) -> bool:
-        """True iff this policy overrides :meth:`shares_batch`."""
-        return type(self).shares_batch is not Policy.shares_batch
 
     def __call__(self, state: ExecState) -> Sequence[Fraction]:
         return self.shares(state)
@@ -200,12 +179,13 @@ class WaterFillPolicy(Policy):
     unless prefixed with ``-``.  The processor index breaks the last
     ties; the empty key is processor-index order.  From that
     one declaration this class derives the exact :meth:`shares` (a
-    ``sorted`` over the active processors) and both float paths (one
-    ``lexsort`` along the last axis, serving ``(m,)`` and ``(B, m)``
-    states alike).  A subclass may also restrict the float fills with
-    :meth:`eligible` (RoundRobin's phases).  The exact backend runs these
-    policies on the integer grid, so an own :meth:`shares` must grant
-    through :func:`water_fill`.
+    ``sorted`` over the active processors) and the float
+    :meth:`shares_array` (one ``lexsort`` along the last axis, serving
+    ``(m,)`` and ``(B, m)`` states alike).  A subclass may also
+    restrict the float fill with :meth:`eligible` (RoundRobin's
+    phases).  The exact backend runs these policies on the integer
+    grid, so an own :meth:`shares` must grant through
+    :func:`water_fill`.
 
     Example:
         >>> from repro.core import Instance
@@ -258,11 +238,8 @@ class WaterFillPolicy(Policy):
             return None
         return np.lexsort([-f(state) if neg else f(state) for _, f, neg in reversed(self._columns)])
 
-    def shares_array(self, state: "VectorState") -> np.ndarray:
+    def shares_array(self, state: "VectorState | BatchVectorState") -> np.ndarray:
         return water_fill_array(state, self._order(state), eligible=self.eligible(state))
-
-    def shares_batch(self, state: "BatchVectorState") -> np.ndarray:
-        return water_fill_array_batch(state, self._order(state), eligible=self.eligible(state))
 
 
 def water_fill(
@@ -370,35 +347,76 @@ def sort_key(values: np.ndarray, *, decimals: int = 9) -> np.ndarray:
 
 
 def water_fill_array(
-    state: "VectorState",
+    state: "VectorState | BatchVectorState",
     order: np.ndarray | None,
     *,
     eligible: np.ndarray | None = None,
     capacity: float = 1.0,
 ) -> np.ndarray:
-    """Vectorized :func:`water_fill` over a float64 state.
+    """Vectorized :func:`water_fill` over one float64 lane or a batch.
 
-    *order* is an array of processor indices in priority order (it may
-    include inactive processors -- their useful share is zero, so they
-    neither receive nor consume capacity); ``None`` is processor-index
-    order.  *eligible* optionally masks processors out of the fill (a
-    boolean indexed by processor).  The grant rule is identical to the
-    exact path: each processor gets
-    ``min(remaining_work, requirement, capacity_left)``, realized as a
-    prefix-sum followed by a clip, so the whole fill is O(m) NumPy work
-    with no Python loop.
+    *order* holds processor indices in priority order -- ``(m,)`` for
+    a :class:`~repro.backends.vector.VectorState`, one permutation per
+    lane, ``(B, m)``, for a
+    :class:`~repro.backends.batched.BatchVectorState` -- and may
+    include inactive or padded processors: their useful share is zero,
+    so they neither receive nor consume capacity.  ``None`` is
+    processor-index order.  *eligible* optionally masks processors out
+    of the fill (a boolean shaped like the state's processor arrays,
+    indexed by processor, **not** by order position -- RoundRobin's
+    phase restriction).  The grant rule is identical to the exact
+    path: each processor gets ``min(remaining_work, requirement,
+    capacity_left)``, realized as a prefix-sum followed by a clip, so
+    the whole fill is NumPy work with no Python loop.
 
-    Multi-resource states dispatch to :func:`water_fill_array_multi`
-    and return a ``(k, m)`` share matrix instead of a flat vector.
+    Multi-resource states run the depletion rounds of
+    :func:`water_fill_array_multi` (one lane) or
+    :func:`_fill_arrays_batch_multi` (a batch) and return a ``(k, m)``
+    / ``(B, k, m)`` share tensor; single-resource lanes of a mixed
+    batch keep the scalar rule (:func:`scalar_lanes`).
     """
-    if state.num_resources != 1:
+    if capacity < 0:
+        raise ValueError("capacity must be non-negative")
+    if state.remaining.ndim == 1:
+        if state.num_resources == 1:
+            return _prefix_fill(state, order, eligible, capacity)
         order = np.arange(state.num_processors) if order is None else np.asarray(order)
         if eligible is not None:
             order = order[eligible[order]]
         return water_fill_array_multi(state, order, capacity=capacity)
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
-    return _prefix_fill(state, order, eligible, capacity)
+    B, m = state.remaining.shape
+    at = None if order is None else order + np.arange(0, B * m, m)[:, None]
+    if state.num_resources == 1:
+        return _prefix_fill(state, at, eligible, capacity)
+    if order is None:
+        order = np.broadcast_to(np.arange(m), (B, m))
+    shares = _fill_arrays_batch_multi(
+        state.remaining,
+        state.active_requirements,
+        state.active_req_matrix,
+        np.asarray(order, dtype=np.int64),
+        eligible,
+        capacity,
+    )
+    return scalar_lanes(state, shares, lambda s: _prefix_fill(s, at, eligible, capacity))
+
+
+def scalar_lanes(state, shares: np.ndarray, scalar_rule: Callable) -> np.ndarray:
+    """Give the single-resource lanes of a mixed-``k`` batch the scalar rule.
+
+    *shares* comes from a policy's ``k > 1`` rule; for a ``(B, k, m)``
+    batch whose lanes have mixed resource counts, every lane with one
+    resource gets ``scalar_rule(state)``'s row (the policy's ``k == 1``
+    rule, ``(B, m)``) as resource row 0 and zeros elsewhere, exactly as
+    its standalone single-lane run grants.  A single lane's ``(k, m)``
+    shares pass through.
+    """
+    if shares.ndim == 3:
+        scalar = state.lane_num_resources == 1
+        if scalar.any():
+            shares[scalar] = 0.0
+            shares[scalar, 0, :] = scalar_rule(state)[scalar]
+    return shares
 
 
 def _prefix_fill(state, at: np.ndarray | None, eligible, capacity: float) -> np.ndarray:
@@ -471,10 +489,10 @@ def _fill_arrays_multi(
     order: np.ndarray,
     capacity: float,
 ) -> np.ndarray:
-    """Array-level core of :func:`water_fill_array_multi`.
+    """Array-level core of :func:`water_fill_array_multi` (one lane).
 
-    Shared by the single-lane fill and the batch engine's per-lane
-    ``k > 1`` path, so both produce bit-identical grants.
+    :func:`_fill_arrays_batch_multi` is its batch lift and grants
+    bit-identically, lane by lane.
     """
     k, m = req_matrix.shape
     shares = np.zeros((k, m), dtype=np.float64)
@@ -515,58 +533,6 @@ def _fill_arrays_multi(
             (req[:, first + 1 :] > 0.0) & (left[:, None] <= _FILL_EPS)
         )
         pending = pending[first + 1 :][~blocked]
-    return shares
-
-
-def water_fill_array_batch(
-    state: "BatchVectorState",
-    order: np.ndarray | None,
-    *,
-    eligible: np.ndarray | None = None,
-    capacity: float = 1.0,
-) -> np.ndarray:
-    """Water-fill all ``B`` lanes of a batch state in one array program.
-
-    *order* is a ``(B, m)`` array of processor indices, one priority
-    permutation per lane, or ``None`` for processor-index order;
-    *eligible* optionally masks processors out of the fill (a
-    ``(B, m)`` boolean indexed by processor, **not** by order position
-    -- RoundRobin's phase restriction).  Padded and inactive processors
-    have zero useful share, so they neither receive nor consume
-    capacity; partial sums are bit-identical to the per-lane
-    :func:`water_fill_array` because interleaved exact zeros never
-    perturb a float cumsum.
-
-    Single-resource batches (``state.num_resources == 1``) run the
-    fully vectorized prefix-sum fill.  Multi-resource batches run the
-    batched depletion rounds (:func:`_fill_arrays_batch_multi`, the
-    grant rule of :func:`water_fill_array_multi`) and return a
-    ``(B, k, m)`` share tensor; single-resource lanes of a mixed batch
-    keep the scalar rule.
-    """
-    if capacity < 0:
-        raise ValueError("capacity must be non-negative")
-    B, m = state.remaining.shape
-    at = None if order is None else order + np.arange(0, B * m, m)[:, None]
-    if state.num_resources == 1:
-        return _prefix_fill(state, at, eligible, capacity)
-    if order is None:
-        order = np.broadcast_to(np.arange(m), (B, m))
-    shares = _fill_arrays_batch_multi(
-        state.remaining,
-        state.active_requirements,
-        state.active_req_matrix,
-        np.asarray(order, dtype=np.int64),
-        eligible,
-        capacity,
-    )
-    scalar = state.lane_num_resources == 1
-    if scalar.any():
-        # Single-resource lanes of a mixed batch follow the scalar
-        # prefix-sum rule, exactly as their standalone vector run does.
-        rows = _prefix_fill(state, at, eligible, capacity)
-        shares[scalar] = 0.0
-        shares[scalar, 0, :] = rows[scalar]
     return shares
 
 

@@ -10,7 +10,7 @@ The three water-filling baselines are
 :class:`~repro.algorithms.base.WaterFillPolicy` subclasses that only
 declare a priority ``key``.  :class:`ProportionalShare` is the one
 policy here that does not water-fill: it writes its float rule once,
-rank-polymorphic, for the vector and batched engines alike.
+rank-polymorphic, for one lane and a batch alike.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.numerics import ONE, ZERO, frac_sum
 from ..core.state import ExecState
-from .base import Policy, WaterFillPolicy, register_policy
+from .base import Policy, WaterFillPolicy, register_policy, scalar_lanes
 
 __all__ = [
     "GreedyFinishJobs",
@@ -110,20 +110,9 @@ class ProportionalShare(Policy):
     name = "proportional-share"
 
     def shares_array(self, state) -> np.ndarray:
-        if state.num_resources != 1:
-            return self._theta_rows(state)
-        return self._proportional_rows(state)
-
-    def shares_batch(self, state) -> np.ndarray:
         if state.num_resources == 1:
             return self._proportional_rows(state)
-        shares = self._theta_rows(state)
-        scalar = state.lane_num_resources == 1
-        if scalar.any():
-            # Single-resource lanes in a mixed batch follow the scalar
-            # rule, as their standalone vector run would.
-            shares[scalar, 0, :] = self._proportional_rows(state)[scalar]
-        return shares
+        return scalar_lanes(state, self._theta_rows(state), self._proportional_rows)
 
     # The float rules below serve a (m,) lane and a (B, m) batch alike:
     # every reduction runs along the last axis.

@@ -73,6 +73,19 @@ def _run_one(payload: tuple) -> dict[str, Any]:
         objectives=objectives,
     )
     elapsed = time.perf_counter() - t0
+    return _row(
+        instance,
+        result.makespan,
+        {obj: result.objective_values[obj.name] for obj in objectives},
+        elapsed,
+    )
+
+
+def _row(instance: Instance, makespan: int, values: dict, seconds: float) -> dict[str, Any]:
+    """One campaign row: *instance*'s run, both execution modes alike.
+
+    *values* maps each requested objective to its value on the run.
+    """
     # Release-aware bound; identical to Observation 1's work bound for
     # static instances (and the per-resource congestion maximum for
     # multi-resource ones), so static campaign rows are unchanged.
@@ -82,21 +95,20 @@ def _run_one(payload: tuple) -> dict[str, Any]:
         "total_jobs": instance.total_jobs,
         "max_release": instance.max_release,
         "resources": instance.num_resources,
-        "makespan": result.makespan,
+        "makespan": makespan,
         "lower_bound": lower,
-        "ratio": result.makespan / lower if lower else 1.0,
-        "seconds": elapsed,
+        "ratio": makespan / lower if lower else 1.0,
+        "seconds": seconds,
         "worker": os.getpid(),
     }
-    if objectives:
+    if values:
         # One entry per requested objective: its value on the run, the
         # objective's instance certificate, and their guarded ratio.
         # A ratio of inf (zero/negative bound, positive value -- the
         # certificate cannot grade the run) is stored as None so the
         # JSON result store stays RFC 8259 parseable.
         report: dict[str, dict[str, float | None]] = {}
-        for objective in objectives:
-            value = result.objective_values[objective.name]
+        for objective, value in values.items():
             bound = objective.lower_bound(instance)
             ratio = objective.ratio(value, bound)
             report[objective.name] = {
@@ -237,7 +249,7 @@ class BatchResult:
             for name in self.objectives:
                 values = self.objective_values(name)
                 # None = the certificate could not grade the run (see
-                # _run_one); aggregate over the graded rows only, and
+                # _row); aggregate over the graded rows only, and
                 # report None when no row was gradeable.
                 graded = [
                     row["objectives"][name]["ratio"]
@@ -337,13 +349,9 @@ class BatchRunner:
                     "batched execution requires the 'vector' backend, "
                     f"got {backend!r}"
                 )
-            if not (
-                resolved_policy.supports_batch
-                or resolved_policy.supports_vector
-            ):
+            if not resolved_policy.supports_vector:
                 raise BackendError(
-                    f"policy {policy!r} has no array path "
-                    "(neither shares_batch nor shares_array); "
+                    f"policy {policy!r} has no shares_array path; "
                     "batched execution cannot run it"
                 )
         objectives = tuple(objectives)
@@ -455,7 +463,6 @@ class BatchRunner:
                 seq_seconds[i] = time.perf_counter() - t0
             instances = ordered
         rows: list[dict[str, Any]] = []
-        pid = os.getpid()
         lanes = self.batch_lanes
         for start in range(0, len(instances), lanes):
             chunk = instances[start : start + lanes]
@@ -467,33 +474,15 @@ class BatchRunner:
                 max_steps=self.max_steps,
             )
             per_lane = (time.perf_counter() - t0) / len(chunk)
-            for b, inst in enumerate(chunk):
-                lower = inst.makespan_lower_bound()
-                makespan = int(result.makespans[b])
-                row: dict[str, Any] = {
-                    "m": inst.num_processors,
-                    "total_jobs": inst.total_jobs,
-                    "max_release": inst.max_release,
-                    "resources": inst.num_resources,
-                    "makespan": makespan,
-                    "lower_bound": lower,
-                    "ratio": makespan / lower if lower else 1.0,
-                    "seconds": seq_seconds[start + b] + per_lane,
-                    "worker": pid,
-                }
-                if objectives:
-                    report: dict[str, dict[str, float | None]] = {}
-                    for objective in objectives:
-                        value = result.objective_values[objective.name][b]
-                        bound = objective.lower_bound(inst)
-                        ratio = objective.ratio(value, bound)
-                        report[objective.name] = {
-                            "value": float(value),
-                            "lower_bound": float(bound),
-                            "ratio": ratio if math.isfinite(ratio) else None,
-                        }
-                    row["objectives"] = report
-                rows.append(row)
+            rows += [
+                _row(
+                    inst,
+                    int(result.makespans[b]),
+                    {obj: result.objective_values[obj.name][b] for obj in objectives},
+                    seq_seconds[start + b] + per_lane,
+                )
+                for b, inst in enumerate(chunk)
+            ]
         return rows
 
     def _record_telemetry(

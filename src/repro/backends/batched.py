@@ -9,10 +9,10 @@ NumPy dispatch cost for one ``m``-vector at a time.
 padded instance *lanes* as ``(B, m)`` / ``(B, k, m)`` float64 arrays
 and advances all of them with one shared array program per step:
 
-* batched water-filling (:func:`repro.algorithms.base.water_fill_array_batch`)
-  turns each policy's priority order into per-lane grants with one
-  flat-index gather (``order + lane * m``) + ``cumsum`` + ``clip``
-  and one scatter back;
+* batched water-filling (:func:`repro.algorithms.base.water_fill_array`
+  on the batch state) turns each policy's priority order into
+  per-lane grants with one flat-index gather (``order + lane * m``) +
+  ``cumsum`` + ``clip`` and one scatter back;
 * the lanes' job tables are one gather of a
   :class:`~repro.backends.vector.JobBag`'s rows by row id; a batch
   arrives as instances or, from the local search, as a
@@ -35,13 +35,13 @@ and advances all of them with one shared array program per step:
   to ``B`` separate :class:`~repro.backends.vector.VectorBackend`
   runs.
 
-Policies advertise a batched priority path via
-:meth:`repro.algorithms.base.Policy.shares_batch` (every
-``WaterFillPolicy`` derives it from its priority key); policies with
-only a single-lane ``shares_array`` are stepped lane by lane through
-a :class:`_LaneView` adapter -- correct, just without the batched
-speedup.  Multi-resource (``k > 1``) batches run the batched
-depletion-rounds fill inside the same step.
+Each step asks the policy once, through the same
+:meth:`repro.algorithms.base.Policy.shares_array` the single-lane
+engine calls, for one share row per lane (every ``WaterFillPolicy``
+derives it from its priority key); a policy whose ``shares_array``
+handles only one lane fails the step-0 shape check.  Multi-resource
+(``k > 1``) batches run the batched depletion-rounds fill inside the
+same step.
 
 Bit-consistency: padded processors carry zero jobs, zero remaining
 work, and zero requirements, so they contribute exact ``0.0`` terms to
@@ -79,7 +79,7 @@ __all__ = [
 
 
 class BatchVectorState(JobTableState):
-    """Float64 view of ``B`` execution states for ``Policy.shares_batch``.
+    """Float64 view of ``B`` execution states for ``Policy.shares_array``.
 
     The batch analogue of :class:`~repro.backends.vector.VectorState`:
     every per-processor array gains a leading lane axis, padded to the
@@ -98,12 +98,10 @@ class BatchVectorState(JobTableState):
         selection: the originating lanes, a
             :class:`~repro.backends.vector.BagSelection` (in original
             lane order; compaction does not touch it).
-        instances: the current lanes as instances, built on first read.
         t: 0-based current step (shared by all lanes).
         num_lanes: ``B``.
         num_processors: the padded processor count ``m``.
         num_resources: the padded resource count ``k``.
-        lane_num_processors: per lane, the real processor count.
         lane_num_resources: per lane, the real resource count.
         num_jobs: ``(B, m)`` total job counts.
         done: ``(B, m)`` completed job counts.
@@ -121,7 +119,6 @@ class BatchVectorState(JobTableState):
         "t",
         "num_lanes",
         "num_resources",
-        "lane_num_processors",
         "lane_num_resources",
         "num_jobs",
         "done",
@@ -142,9 +139,10 @@ class BatchVectorState(JobTableState):
 
     #: Lane-indexed arrays that :meth:`compact` slices (besides the
     #: job table and active block, whose lane axis is axis 1).
+    #: ``_lanes`` maps each current lane to its original index.
     _PER_LANE = (
-        "_lanes", "lane_num_processors", "lane_num_resources", "num_jobs",
-        "done", "_release", "_released", "resource_spent",
+        "_lanes", "lane_num_resources", "num_jobs", "done", "_release",
+        "_released", "resource_spent",
     )
 
     def __init__(self, instances: Sequence[Instance] | BagSelection) -> None:
@@ -157,21 +155,9 @@ class BatchVectorState(JobTableState):
         self._lanes = np.arange(self.num_lanes)
         self.t = 0
         self.num_jobs, self._release, table = instances.tables()
-        self.lane_num_processors = np.array([len(lane) for lane in instances.queues])
         self.lane_num_resources = np.array(instances.lane_num_resources)
         self.num_resources = int(self.lane_num_resources.max())
         self._start_views(table)
-
-    @property
-    def instances(self) -> tuple[Instance, ...]:
-        """The current lanes' instances, in lane order."""
-        built = self.selection.instances
-        return tuple(built[b] for b in self._lanes)
-
-    @property
-    def lane_done(self) -> np.ndarray:
-        """``(B,)`` mask of lanes whose every job has finished."""
-        return ~(self.done < self.num_jobs).any(axis=1)
 
     @property
     def lane_waiting(self) -> np.ndarray:
@@ -187,8 +173,8 @@ class BatchVectorState(JobTableState):
         exact zeros (shares, remaining work, requirements), and every
         step operation is elementwise or a lane-row reduction, so
         removing such lanes cannot perturb any surviving lane's
-        arithmetic.  Callers own the lane-index bookkeeping (results
-        are reported against original lane indices via an origin map).
+        arithmetic.  ``_lanes`` keeps each surviving lane's original
+        index, against which results and errors are reported.
         """
         idx = np.flatnonzero(keep)
         if not idx.size:
@@ -201,70 +187,6 @@ class BatchVectorState(JobTableState):
         self._table = self._table.take(idx, axis=1)
         self._active = self._active.take(idx, axis=1)
         self._bind_views()
-
-
-class _LaneView:
-    """Single-lane, real-size view of a batch state.
-
-    Presents one lane's slices under the
-    :class:`~repro.backends.vector.VectorState` read API, so policies
-    without a :meth:`~repro.algorithms.base.Policy.shares_batch` path
-    run their ordinary ``shares_array`` per lane, bit-identical to a
-    standalone vector run (the views expose exactly the real
-    ``m_lane`` / ``k_lane`` prefix of each array).
-    """
-
-    __slots__ = ("_s", "_b", "_m", "_k")
-
-    #: ``(m,)`` per-processor arrays, read as the lane's real prefix.
-    _ARRAYS = frozenset(
-        "num_jobs done remaining active_requirements active_weights active_deadlines "
-        "active_mask pending_mask released_mask jobs_remaining".split()
-    )
-
-    def __init__(self, state: BatchVectorState, b: int) -> None:
-        self._s = state
-        self._b = b
-        self._m = int(state.lane_num_processors[b])
-        self._k = int(state.lane_num_resources[b])
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        if name not in _LaneView._ARRAYS:
-            raise AttributeError(name)
-        return getattr(self._s, name)[self._b, : self._m]
-
-    @property
-    def instance(self) -> Instance:
-        """The lane's original :class:`~repro.core.instance.Instance`."""
-        state = self._s
-        return state.selection.instances[state._lanes[self._b]]
-
-    @property
-    def t(self) -> int:
-        """The shared step counter."""
-        return self._s.t
-
-    @property
-    def num_processors(self) -> int:
-        """The lane's real processor count ``m``."""
-        return self._m
-
-    @property
-    def num_resources(self) -> int:
-        """The lane's real resource count ``k``."""
-        return self._k
-
-    @property
-    def active_req_matrix(self) -> np.ndarray:
-        """``(k, m)`` per-resource requirements of the active jobs."""
-        if self._k == 1:
-            return self.active_requirements.reshape(1, self._m)
-        return self._s.active_req_matrix[self._b, : self._k, : self._m]
-
-    @property
-    def resource_spent(self) -> np.ndarray:
-        """``(k,)`` cumulative resource-time consumed."""
-        return self._s.resource_spent[self._b, : self._k]
 
 
 @dataclass(slots=True)
@@ -283,9 +205,6 @@ class BatchRunResult:
         lane_steps: sum of per-lane makespans -- the useful work the
             batch amortized its dispatch over.
         wall_seconds: end-to-end wall time of the run.
-        batched_policy: True when the policy supplied a
-            ``shares_batch`` path; False means lanes were stepped one
-            by one through ``shares_array`` (the fallback).
         compactions: how many times the runtime shrank the batch to
             its surviving lanes (ragged batches only; 0 when every
             lane finishes near the same step).
@@ -297,7 +216,6 @@ class BatchRunResult:
     steps: int
     lane_steps: int
     wall_seconds: float
-    batched_policy: bool
     compactions: int = 0
 
 
@@ -310,10 +228,9 @@ class BatchVectorRuntime:
             lanes (ragged batches -- mixed processor counts, queue
             lengths, resource counts, releases -- are padded; mixed
             makespans terminate lanes early).
-        policy: the policy (registry name or object).  Must support
-            the vector path; lanes fall back to per-lane
-            ``shares_array`` stepping unless it also implements
-            ``shares_batch``.
+        policy: the policy (registry name or object).  Its
+            ``shares_array`` must serve a batch state (every
+            registered policy's does).
         tol: completion / feasibility tolerance (as
             :class:`~repro.backends.vector.VectorBackend`).
         compact_threshold: live-lane fraction below which a ragged
@@ -334,13 +251,10 @@ class BatchVectorRuntime:
         if tol <= 0:
             raise ValueError("tol must be positive")
         policy = resolve_policy(policy)
-        if not (
-            getattr(policy, "supports_batch", False)
-            or getattr(policy, "supports_vector", False)
-        ):
+        if not getattr(policy, "supports_vector", False):
             raise VectorizationUnsupportedError(
-                f"policy {getattr(policy, 'name', policy)!r} implements "
-                "neither shares_batch nor shares_array; use backend='exact'"
+                f"policy {getattr(policy, 'name', policy)!r} has no "
+                "shares_array path; use backend='exact'"
             )
         self.policy = policy
         timed = get_session() is not None
@@ -350,7 +264,6 @@ class BatchVectorRuntime:
         #: (measured only under a telemetry session).
         self.build_s = perf_counter() - start if timed else 0.0
         self.tol = float(tol)
-        self.batched_policy = bool(getattr(policy, "supports_batch", False))
         if compact_threshold is not None and not (
             0.0 <= float(compact_threshold) <= 1.0
         ):
@@ -363,40 +276,8 @@ class BatchVectorRuntime:
     # Step phases
     # ------------------------------------------------------------------
     def _query(self) -> np.ndarray:
-        """One share row per lane, batched or via per-lane fallback."""
-        state = self.state
-        if self.batched_policy:
-            return np.asarray(
-                self.policy.shares_batch(state), dtype=np.float64
-            )
-        if state.num_resources == 1:
-            shares = np.zeros(
-                (state.num_lanes, state.num_processors), dtype=np.float64
-            )
-        else:
-            shares = np.zeros(
-                (
-                    state.num_lanes,
-                    state.num_resources,
-                    state.num_processors,
-                ),
-                dtype=np.float64,
-            )
-        lane_done = state.lane_done
-        for b in range(state.num_lanes):
-            if lane_done[b]:
-                continue
-            view = _LaneView(state, b)
-            row = np.asarray(
-                self.policy.shares_array(view), dtype=np.float64
-            )
-            if state.num_resources == 1:
-                shares[b, : view.num_processors] = row
-            elif view.num_resources == 1:
-                shares[b, 0, : view.num_processors] = row
-            else:
-                shares[b, : view.num_resources, : view.num_processors] = row
-        return shares
+        """One share row per lane: the policy's one float query."""
+        return np.asarray(self.policy.shares_array(self.state), dtype=np.float64)
 
     def _check(self, shares: np.ndarray) -> None:
         """Tolerance-aware feasibility check over every lane."""
@@ -423,7 +304,7 @@ class BatchVectorRuntime:
         totals = shares.sum(axis=-1)
         worst = float(totals.max())
         if not worst <= 1.0 + tol:
-            lane = int(np.argmax(totals.reshape(state.num_lanes, -1).max(axis=1)))
+            lane = state._lanes[totals.reshape(state.num_lanes, -1).max(axis=1).argmax()]
             raise InfeasibleAssignmentError(
                 f"step {state.t}: resource overused in lane {lane} "
                 f"(sum of shares = {worst} > 1)"
@@ -504,7 +385,7 @@ class BatchVectorRuntime:
         m = state.num_processors
         if max_steps is None:
             limits = np.array(
-                [default_step_limit(inst) for inst in state.instances],
+                [default_step_limit(inst) for inst in state.selection.instances],
                 dtype=np.int64,
             )
         else:
@@ -517,11 +398,10 @@ class BatchVectorRuntime:
         makespans = np.zeros(B, dtype=np.int64)
         jobs_left = state.num_jobs.sum(axis=1)
         stalled = np.zeros(B, dtype=np.int64)
-        # Results (makespans, completion steps) are kept against
-        # *original* lane indices; the state may compact to its
-        # surviving lanes mid-run, so this map tracks where each
-        # current lane started.
-        origin = np.arange(B, dtype=np.int64)
+        # Results (makespans, completion steps) and errors are kept
+        # against *original* lane indices: the state may compact to its
+        # surviving lanes mid-run, and ``state._lanes`` maps each
+        # current lane to where it started.
         threshold = self.compact_threshold
         compactions = 0
         live = jobs_left > 0
@@ -541,7 +421,7 @@ class BatchVectorRuntime:
                 if over.any():
                     lane = int(np.argmax(over))
                     raise SimulationLimitError(
-                        f"batched run: lane {int(origin[lane])} did not finish "
+                        f"batched run: lane {state._lanes[lane]} did not finish "
                         f"within {int(limits[lane])} steps "
                         f"(done={state.done[lane].tolist()})"
                     )
@@ -556,11 +436,11 @@ class BatchVectorRuntime:
             if slots.size:
                 lanes, procs = np.divmod(slots, m)
                 if finish is not None:
-                    finish[origin[lanes], procs, jobs] = t
+                    finish[state._lanes[lanes], procs, jobs] = t
                 jobs_left -= np.bincount(lanes, minlength=state.num_lanes)
                 newly_done = live & (jobs_left == 0)
                 if newly_done.any():
-                    makespans[origin[newly_done]] = t + 1
+                    makespans[state._lanes[newly_done]] = t + 1
                     live &= ~newly_done
                     num_live = int(live.sum())
                 stuck[lanes] = False  # a completion is progress
@@ -571,7 +451,7 @@ class BatchVectorRuntime:
                 if (stalled >= stall_limit).any():
                     lane = int(np.argmax(stalled >= stall_limit))
                     raise SimulationLimitError(
-                        f"batched run: lane {int(origin[lane])} made no "
+                        f"batched run: lane {state._lanes[lane]} made no "
                         f"progress for {int(stalled[lane])} consecutive steps "
                         f"(t={state.t}); aborting"
                     )
@@ -592,7 +472,6 @@ class BatchVectorRuntime:
                 and 0 < num_live < threshold * live.size
             ):
                 state.compact(live)
-                origin = origin[live]
                 limits = limits[live]
                 stalled = stalled[live]
                 jobs_left = jobs_left[live]
@@ -612,7 +491,6 @@ class BatchVectorRuntime:
             steps=steps,
             lane_steps=int(makespans.sum()),
             wall_seconds=wall,
-            batched_policy=self.batched_policy,
             compactions=compactions,
         )
         if session is not None:
@@ -647,7 +525,6 @@ class BatchVectorRuntime:
             policy=str(getattr(self.policy, "name", "?")),
             m=self.state.num_processors,
             resources=self.state.num_resources,
-            batched_policy=result.batched_policy,
             build_s=self.build_s,
             objective_s=objective_s,
         )

@@ -288,10 +288,7 @@ class LocalSearchSequencer(Sequencer):
         if (
             len(keys) > 1
             and getattr(self.backend, "name", None) == "vector"
-            and (
-                getattr(policy, "supports_batch", False)
-                or getattr(policy, "supports_vector", False)
-            )
+            and getattr(policy, "supports_vector", False)
         ):
             from ..backends.batched import run_batch  # local: builds on core
             from ..core.simulator import default_step_limit

@@ -6,7 +6,8 @@ policy defined once runs on every engine.  These tests pin that
 contract: a key-only policy (the ABL ablation's
 ``GreedyBalanceSmallTie``) agrees with the exact engine on both float
 engines, a misspelled key fails when the class is defined, and no
-policy writes its own float shares except the one non-fill rule.
+policy writes its own float shares except the one non-fill rule, whose
+one ``shares_array`` serves a lane and a batch.
 """
 
 import ast
@@ -23,7 +24,7 @@ from repro.algorithms import (
     get_policy,
     water_fill,
 )
-from repro.algorithms.base import water_fill_array, water_fill_array_batch
+from repro.algorithms.base import water_fill_array
 from repro.backends import ExactBackend, VectorBackend, run_batch
 from repro.backends.batched import BatchVectorState
 from repro.backends.vector import VectorState
@@ -83,7 +84,7 @@ class TestSmallTieOnEveryEngine:
 
     def test_supports_both_float_engines(self):
         policy = GreedyBalanceSmallTie()
-        assert policy.supports_vector and policy.supports_batch
+        assert policy.supports_vector
 
     @pytest.mark.parametrize("index", range(len(CASES)))
     def test_vector_equals_exact(self, index):
@@ -95,7 +96,6 @@ class TestSmallTieOnEveryEngine:
 
     def test_batched_equals_exact(self):
         result = run_batch(CASES, GreedyBalanceSmallTie(), objectives=[_CompletionSteps()])
-        assert result.batched_policy
         for b, inst in enumerate(CASES):
             exact = ExactBackend().run(inst, GreedyBalanceSmallTie(), record_shares=False)
             assert int(result.makespans[b]) == exact.makespan, b
@@ -149,8 +149,8 @@ class TestKeyDeclaration:
         masks = np.stack([mask, ~mask])
         order = np.broadcast_to(np.arange(6), (2, 6))
         assert np.array_equal(
-            water_fill_array_batch(batch, None, eligible=masks),
-            water_fill_array_batch(batch, order, eligible=masks),
+            water_fill_array(batch, None, eligible=masks),
+            water_fill_array(batch, order, eligible=masks),
         )
 
 
@@ -165,13 +165,16 @@ def _classes_defining(method):
 
 
 class TestOneDefinition:
-    @pytest.mark.parametrize("method", ["shares_array", "shares_batch"])
-    def test_only_the_bases_and_proportional_share_define_float_shares(self, method):
-        assert sorted(_classes_defining(method)) == [
+    def test_only_the_bases_and_proportional_share_define_float_shares(self):
+        assert sorted(_classes_defining("shares_array")) == [
             "Policy",
             "ProportionalShare",
             "WaterFillPolicy",
         ]
+
+    def test_one_float_query(self):
+        """``shares_array`` serves one lane and a batch: no second query."""
+        assert list(_classes_defining("shares_batch")) == []
 
     def test_every_registered_water_filler_is_a_waterfill_policy(self):
         for name in available_policies():
@@ -179,7 +182,7 @@ class TestOneDefinition:
             assert isinstance(policy, WaterFillPolicy) == (name != "proportional-share"), name
 
     def test_policy_modules_do_not_import_the_float_fills(self):
-        private = {"water_fill_array", "water_fill_array_batch", "sort_key"}
+        private = {"water_fill_array", "sort_key"}
         for path in sorted(ALGORITHMS.glob("*.py")):
             if path.name == "base.py":
                 continue

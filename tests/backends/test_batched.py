@@ -1,4 +1,4 @@
-"""Mechanics of the batched engine: results, fallbacks, errors, telemetry.
+"""Mechanics of the batched engine: results, the one query, errors, telemetry.
 
 The fine-grained behavior contract of
 :class:`~repro.backends.batched.BatchVectorRuntime` and the
@@ -10,12 +10,15 @@ bar lives in ``test_batched_crosscheck.py``.
 import numpy as np
 import pytest
 
-from repro.algorithms import GreedyBalance, Policy, get_policy
+from repro.algorithms import GreedyBalance, Policy, available_policies, get_policy
 from repro.backends import (
     BatchRunner,
     BatchVectorRuntime,
+    VectorBackend,
+    make_campaign_instances,
     run_batch,
 )
+from repro.backends.vector import VectorRuntime
 from repro.core import Instance
 from repro.exceptions import (
     BackendError,
@@ -23,17 +26,18 @@ from repro.exceptions import (
     SimulationLimitError,
     VectorizationUnsupportedError,
 )
-from repro.generators import bag_instance, uniform_instance, with_arrivals
+from repro.generators import (
+    bag_instance,
+    general_size_instance,
+    uniform_instance,
+    with_arrivals,
+    with_deadlines,
+    with_resources,
+    with_weights,
+)
+from repro.objectives import available_objectives
+from repro.sequencing import LocalSearchSequencer
 from repro.telemetry import TelemetrySession, use_session
-
-
-class _ArrayOnlyBalance(GreedyBalance):
-    """GreedyBalance stripped of its batched path (fallback probe)."""
-
-    name = "array-only-balance"
-    # Reinstating the base default makes ``supports_batch`` False, so
-    # the runtime must step this policy lane by lane via shares_array.
-    shares_batch = Policy.shares_batch
 
 
 class _ExactOnly(Policy):
@@ -46,29 +50,32 @@ class _ExactOnly(Policy):
 
 
 class _Overcommit(Policy):
-    """Claims the batch path, then oversubscribes the resource."""
+    """Oversubscribes the resource on every lane."""
 
     name = "overcommit"
 
-    def shares_array(self, state):  # pragma: no cover - batch path wins
-        raise NotImplementedError
-
-    def shares_batch(self, state):
-        return np.full(
-            (state.num_lanes, state.num_processors), 1.0, dtype=np.float64
-        )
+    def shares_array(self, state):
+        return np.ones(state.num_jobs.shape)
 
 
-class _WrongShape(Policy):
-    """Claims the batch path, then returns a single-lane row."""
+class _LateOvercommit(GreedyBalance):
+    """GreedyBalance, then 0.6 to every pending processor from step 4 on."""
 
-    name = "wrong-shape"
+    name = "late-overcommit"
 
-    def shares_array(self, state):  # pragma: no cover - batch path wins
-        raise NotImplementedError
+    def shares_array(self, state):
+        if state.t < 4:
+            return super().shares_array(state)
+        return np.where(state.pending_mask, 0.6, 0.0)
 
-    def shares_batch(self, state):
-        return np.zeros(state.num_processors, dtype=np.float64)
+
+class _LaneOnly(GreedyBalance):
+    """A float rule written for one lane: it returns an ``(m,)`` row."""
+
+    name = "lane-only"
+
+    def shares_array(self, state):
+        return super().shares_array(state).reshape(-1, state.num_processors)[0]
 
 
 def _batch(n=3, *, seed=0):
@@ -85,7 +92,6 @@ class TestRunResult:
         assert result.steps == int(result.makespans.max())
         assert result.lane_steps == int(result.makespans.sum())
         assert result.wall_seconds > 0
-        assert result.batched_policy is True
 
     def test_objective_vectors_in_lane_order(self):
         insts = _batch(3)
@@ -100,30 +106,56 @@ class TestRunResult:
         assert by_name.makespans.tolist() == by_object.makespans.tolist()
 
 
-class TestFallback:
-    def test_array_only_policy_falls_back_lane_by_lane(self):
-        insts = _batch(4, seed=7)
-        fallback = run_batch(insts, _ArrayOnlyBalance())
-        batched = run_batch(insts, GreedyBalance())
-        assert fallback.batched_policy is False
-        assert batched.batched_policy is True
-        # The fallback is slower, never different.
-        assert fallback.makespans.tolist() == batched.makespans.tolist()
+def _padded(row: np.ndarray, shape: tuple) -> np.ndarray:
+    """A lane's ``(m,)`` / ``(k, m)`` shares, zero-padded to a batch row."""
+    m = row.shape[-1]
+    rows = row.reshape(-1, m)
+    out = np.zeros(shape)
+    out.reshape(-1, shape[-1])[: len(rows), :m] = rows
+    return out
 
-    def test_fallback_handles_arrivals(self):
+
+class TestOneQuery:
+    """``shares_array`` serves a single lane and a batch alike."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", sorted(available_policies()))
+    def test_batch_rows_equal_lane_queries(self, name, k):
+        """Each lane's batched row equals its own single-lane query, bitwise."""
+        policy = get_policy(name)
         insts = [
-            with_arrivals(
-                uniform_instance(3, 3, seed=s), max_release=4, seed=s
-            )
-            for s in range(3)
+            with_arrivals(uniform_instance(4, 3, seed=1), max_release=3, seed=1),
+            with_resources(with_weights(general_size_instance(3, 4, seed=2), seed=2), k, seed=2),
+            with_deadlines(uniform_instance(2, 5, seed=3), seed=3),
         ]
-        fallback = run_batch(insts, _ArrayOnlyBalance())
-        batched = run_batch(insts, GreedyBalance())
-        assert fallback.makespans.tolist() == batched.makespans.tolist()
+        batch = BatchVectorRuntime(insts, policy, compact_threshold=None)
+        lanes = [VectorRuntime(inst) for inst in insts]
+        while not all(lane.all_done for lane in lanes):
+            batch.state.begin_step()
+            shares = batch._query()
+            for b, lane in enumerate(lanes):
+                lane.begin_step()
+                row = lane.query(policy)
+                assert np.array_equal(shares[b], _padded(row, shares.shape[1:])), (b, lane.t)
+                lane.apply(row)
+            batch._check(shares)
+            batch._apply(shares)
 
     def test_exact_only_policy_is_rejected(self):
         with pytest.raises(VectorizationUnsupportedError, match="exact-only"):
             BatchVectorRuntime(_batch(), _ExactOnly())
+
+    def test_lane_only_policy_fails_run_batch(self):
+        # The single-lane engine runs it; the batch engine rejects it at step 0.
+        insts = _batch(3)
+        VectorBackend().run(insts[0], _LaneOnly())
+        with pytest.raises(InfeasibleAssignmentError, match=r"step 0 \(expected \(3, 3\)\)"):
+            run_batch(insts, _LaneOnly())
+
+    def test_lane_only_policy_fails_batched_search(self):
+        search = LocalSearchSequencer(policy=_LaneOnly(), batch_lanes=8, budget=16)
+        with pytest.raises(InfeasibleAssignmentError, match=r"step 0 \(expected \(8, 3\)\)"):
+            search.sequence(bag_instance(3, 4, seed=0))
 
 
 class TestErrorPaths:
@@ -147,9 +179,18 @@ class TestErrorPaths:
         with pytest.raises(InfeasibleAssignmentError, match="overused"):
             run_batch(_batch(), _Overcommit())
 
-    def test_wrong_share_shape_rejected(self):
-        with pytest.raises(InfeasibleAssignmentError, match="shape"):
-            run_batch(_batch(), _WrongShape())
+    @pytest.mark.parametrize("compact", [0.5, None])
+    def test_overuse_names_the_original_lane(self, compact):
+        # Lanes 0-2 finish at step 2, so the default threshold compacts
+        # the batch to lane 3 alone before it overuses at step 4.
+        short = Instance.from_percent([[100], [100]])
+        long = Instance.from_percent([[100] * 6, [100] * 6])
+        runtime = BatchVectorRuntime(
+            [short, short, short, long], _LateOvercommit(), compact_threshold=compact
+        )
+        with pytest.raises(InfeasibleAssignmentError, match="step 4: resource overused in lane 3 "):
+            runtime.run()
+        assert runtime.state.num_lanes == (1 if compact else 4)
 
 
 class TestTelemetry:
@@ -164,7 +205,6 @@ class TestTelemetry:
         assert span.attrs["steps"] == result.steps
         assert span.attrs["lane_steps"] == result.lane_steps
         assert span.attrs["policy"] == "greedy-balance"
-        assert span.attrs["batched_policy"] is True
         metrics = session.metrics
         assert metrics.gauge("batch.lanes").value == 5
         assert metrics.counter("batched.runs").value == 1
@@ -207,6 +247,25 @@ class TestBatchedExecutionMode:
         assert batched.objective_values("makespan") == (
             processes.objective_values("makespan")
         )
+
+    def test_rows_equal_but_for_timing(self):
+        """Both modes build the same row dicts, objective reports included."""
+        insts = make_campaign_instances(
+            6, 3, 4, seed=1, weights_profile="skewed", deadline_profile="mixed"
+        )
+        objectives = tuple(available_objectives())
+        batched = BatchRunner(execution="batched", batch_lanes=4, objectives=objectives)
+        serial = BatchRunner(workers=1, objectives=objectives)
+
+        def untimed(result):
+            return [{k: v for k, v in row.items() if k != "seconds"} for row in result.rows]
+
+        rows = untimed(batched.run(insts))
+        assert rows == untimed(serial.run(insts))
+        assert set(rows[0]["objectives"]) == set(objectives)
+        # A certificate that cannot grade its run stores None, not inf.
+        ratios = [r["ratio"] for row in rows for r in row["objectives"].values()]
+        assert None in ratios
 
     def test_rows_match_with_sequencer(self):
         insts = [bag_instance(3, 3, seed=s) for s in range(4)]

@@ -7,8 +7,8 @@ branching.  Hypothesis draws ragged batches over every axis that
 layout meets: mixed ``m``, queue lengths up to the batch maximum (one
 queue is exactly that long, so its successor *is* the sentinel
 column), per-lane ``k`` in {1, 2, 3}, releases, requirements 0 and 1,
-weights and deadlines, every policy plus the lane-by-lane fallback,
-and compaction on and off.  Every lane must equal a standalone
+weights and deadlines, every policy, and compaction on and off.
+Every lane must equal a standalone
 :class:`~repro.backends.vector.VectorBackend` run on its makespan and
 all five objectives, and the exact backend on its makespan.
 """
@@ -18,7 +18,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import GreedyBalance, Policy, available_policies, get_policy
+from repro.algorithms import available_policies, get_policy
 from repro.backends import ExactBackend, VectorBackend, run_batch
 from repro.core import Instance, Job
 from repro.objectives import available_objectives
@@ -28,20 +28,7 @@ SIZES = [Fraction(1), Fraction(1, 2), Fraction(2)]
 OBJECTIVES = tuple(available_objectives())
 
 
-class _ArrayOnlyBalance(GreedyBalance):
-    """GreedyBalance without its batched path: steps through ``_LaneView``."""
-
-    name = "array-only-balance"
-    shares_batch = Policy.shares_batch
-
-
-POLICIES = sorted(available_policies()) + [_ArrayOnlyBalance.name]
-
-
-def _policy(name: str) -> Policy:
-    if name == _ArrayOnlyBalance.name:
-        return _ArrayOnlyBalance()
-    return get_policy(name)
+POLICIES = sorted(available_policies())
 
 
 def _jobs(k: int):
@@ -90,7 +77,7 @@ def ragged_batches(draw) -> list[Instance]:
     compact=st.sampled_from([0.5, None]),
 )
 def test_lanes_equal_standalone_runs(batch, policy_name, compact):
-    policy = _policy(policy_name)
+    policy = get_policy(policy_name)
     result = run_batch(
         batch, policy, objectives=OBJECTIVES, compact_threshold=compact
     )

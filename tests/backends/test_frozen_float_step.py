@@ -24,7 +24,6 @@ from repro.algorithms.base import (
     _fill_arrays_multi,
     _prefix_fill,
     water_fill_array,
-    water_fill_array_batch,
 )
 from repro.backends.batched import BatchVectorRuntime
 from repro.backends.vector import VectorRuntime
@@ -177,7 +176,7 @@ class TestBatch:
             got = _prefix_fill(state, a, elig, capacity)
             want = frozen.prefix_fill(old.state, a, elig, capacity)
             assert np.array_equal(got, want)
-        shares = water_fill_array_batch(state, order, eligible=eligible, capacity=capacity)
+        shares = water_fill_array(state, order, eligible=eligible, capacity=capacity)
         if state.num_resources == 1:
             assert np.array_equal(shares, frozen.prefix_fill(old.state, at, eligible, capacity))
         if data.draw(st.booleans()):
