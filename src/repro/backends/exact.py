@@ -15,13 +15,7 @@ from fractions import Fraction
 
 from ..algorithms.base import WaterFillPolicy
 from ..core.instance import Instance
-from ..core.kernel import (
-    CompletionRecorder,
-    ExactRuntime,
-    GridRuntime,
-    ShareRecorder,
-    run_kernel,
-)
+from ..core.kernel import ExactRuntime, GridRuntime, ShareRecorder, run_kernel
 from ..core.schedule import Schedule
 from ..core.simulator import simulate
 from ..core.state import grid_units
@@ -100,21 +94,21 @@ class ExactBackend(Backend):
     ) -> BackendResult:
         """Kernel-direct run: on the integer grid (*grid* given), or ``k > 1``."""
         runtime = ExactRuntime(instance) if grid is None else GridRuntime(instance, grid)
-        completions = CompletionRecorder()
         recorder = ShareRecorder() if record_shares or grid is not None else None
-        observers = (completions,) if recorder is None else (recorder, completions)
+        observers = () if recorder is None else (recorder,)
         makespan = run_kernel(runtime, policy, observers, max_steps=max_steps)
         if grid is not None and record_shares:
             rows = [[Fraction(x, grid[2]) for x in row] for row in recorder.shares]
             return self._result(instance, Schedule(instance, rows), True)
+        completion_steps = runtime.state.completion_steps()
         if grid is not None:
-            _replay(instance, grid, recorder.shares, makespan, completions.completion_steps)
+            _replay(instance, grid, recorder.shares, makespan, completion_steps)
         return BackendResult(
             backend=self.name,
             makespan=makespan,
             shares=recorder.shares if record_shares else None,
             processed=recorder.processed if record_shares else None,
-            completion_steps=completions.completion_steps,
+            completion_steps=completion_steps,
             instance=instance,
         )
 
@@ -126,12 +120,10 @@ def _replay(instance: Instance, grid, rows, makespan: int, completions: dict) ->
     """
     replay = GridRuntime(instance, grid)
     state = replay.state
-    replayed = {}
     for row in rows:
         replay.check(row)
-        for job in state.apply(row).completed:
-            replayed[job] = state.t - 1
-    if not state.all_done or state.t != makespan or replayed != completions:
+        state.execute(row)
+    if not state.all_done or state.t != makespan or state.completion_steps() != completions:
         raise InvalidScheduleError(
             f"grid rows replay to {state.t} steps with done={state.done}; "
             f"the run reported makespan {makespan}"

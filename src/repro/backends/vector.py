@@ -38,13 +38,7 @@ import numpy as np
 
 from ..core.instance import Instance
 from ..core.job import Job
-from ..core.kernel import (
-    CompletionRecorder,
-    KernelRuntime,
-    ShareRecorder,
-    StepEvent,
-    run_kernel,
-)
+from ..core.kernel import AppliedStep, KernelRuntime, ShareRecorder, run_kernel
 from ..exceptions import (
     CheckpointError,
     InfeasibleAssignmentError,
@@ -211,6 +205,10 @@ class VectorState(JobTableState):
             by deadline-aware policies such as ``edf-waterfill``.
         resource_spent: ``(k,)`` cumulative resource-time consumed per
             shared resource.
+        finish: the completion record, ``(m, n + 1)`` int64 like the
+            job table: ``finish[i, j]`` is the 0-based step job ``j`` of
+            queue ``i`` completed in, for the jobs completed since the
+            state was built or restored (0 elsewhere).
     """
 
     __slots__ = (
@@ -225,6 +223,7 @@ class VectorState(JobTableState):
         "active_deadlines",
         "resource_spent",
         "num_resources",
+        "finish",
         "_table",
         "_active",
         "_flat_table",
@@ -245,6 +244,7 @@ class VectorState(JobTableState):
         self.t = 0
         self.num_resources = instance.num_resources
         self._start_views(table[:, 0])
+        self.finish = np.zeros(self._table.shape[1:], dtype=np.int64)
 
     @property
     def all_done(self) -> bool:
@@ -260,9 +260,25 @@ class VectorState(JobTableState):
         return not self._all_released
 
     def advance(self, slots: np.ndarray) -> np.ndarray:
-        """Complete the active jobs at *slots* (see :class:`JobTableState`)."""
+        """Complete the active jobs at *slots* (see :class:`JobTableState`).
+
+        Records step :attr:`t` as their completion step in :attr:`finish`.
+        """
         self._left -= slots.size
-        return JobTableState.advance(self, slots)
+        jobs = JobTableState.advance(self, slots)
+        self.finish[slots, jobs] = self.t
+        return jobs
+
+    def completion_steps(self) -> dict[tuple[int, int], int]:
+        """0-based completion step per job id, read off :attr:`finish`.
+
+        Covers every job once the run has finished.
+        """
+        return {
+            (i, j): t
+            for i, (row, n) in enumerate(zip(self.finish.tolist(), self.num_jobs.tolist()))
+            for j, t in enumerate(row[:n])
+        }
 
     def capture(self) -> dict:
         """JSON-serializable snapshot of the mutable float64 state.
@@ -287,7 +303,8 @@ class VectorState(JobTableState):
         may describe fewer processors than the instance this state was
         built over (extension restores keep the new queues' fresh
         state); the active block is reloaded from the job table in
-        place, so every field view keeps aliasing it.
+        place, so every field view keeps aliasing it.  The completion
+        record restarts empty (the payload does not carry it).
 
         Raises:
             CheckpointError: on malformed payloads or any inconsistency
@@ -347,6 +364,7 @@ class VectorState(JobTableState):
         self._active[:, :mm] = np.where(released, jobs, table[:, idx, -1])
         self.remaining[:mm] = remaining
         self.resource_spent[:] = spent
+        self.finish.fill(0)
 
     def extend(self, instance: Instance, processor: int) -> None:
         """Adopt *instance*: this state's instance plus one job on *processor*.
@@ -399,6 +417,7 @@ class VectorState(JobTableState):
         self._table = np.concatenate(
             [self._table, np.repeat(empty, self._table.shape[-1], axis=-1)], axis=1
         )
+        self.finish = np.concatenate([self.finish, np.zeros_like(self.finish[:1])])
         self._bind_views()
 
     def _grow_table(self, capacity: int) -> None:
@@ -406,6 +425,7 @@ class VectorState(JobTableState):
         table = self._table
         pad = np.repeat(table[..., -1:], capacity - table.shape[-1], axis=-1)
         self._table = np.concatenate([table, pad], axis=-1)
+        self.finish = np.concatenate([self.finish, np.zeros_like(pad[0], dtype=np.int64)], axis=-1)
         self._bind_views()
 
 
@@ -621,6 +641,24 @@ def bottleneck_work(state, shares: np.ndarray, scalar: np.ndarray | None = None)
     return work
 
 
+class _VectorStep(AppliedStep):
+    """:class:`~repro.core.kernel.AppliedStep` of :class:`VectorRuntime`.
+
+    ``processed`` is the step's work array and ``had_work`` its active
+    mask; ``slots`` / ``jobs`` hold the completed jobs' processors and
+    indices while ``count`` is nonzero.
+    """
+
+    __slots__ = ("processed", "had_work", "slots", "jobs")
+
+    @property
+    def completed(self) -> tuple[tuple[int, int], ...]:
+        """Jobs that finished in the step, in processor order."""
+        if not self.count:
+            return ()
+        return tuple(zip(self.slots.tolist(), self.jobs.tolist()))
+
+
 class VectorRuntime(KernelRuntime):
     """Float64 arithmetic adapter over :class:`VectorState`.
 
@@ -633,12 +671,13 @@ class VectorRuntime(KernelRuntime):
     #: Checkpoint backend tag (see :mod:`repro.core.checkpoint`).
     kind = "vector"
 
-    __slots__ = ("instance", "state", "tol", "_m", "_k")
+    __slots__ = ("instance", "state", "tol", "last", "_m", "_k")
 
     def __init__(self, instance: Instance, *, tol: float = 1e-9) -> None:
         self.instance = instance
         self.state = VectorState(instance)
         self.tol = float(tol)
+        self.last = _VectorStep()
         self._m = instance.num_processors
         self._k = instance.num_resources
 
@@ -699,8 +738,11 @@ class VectorRuntime(KernelRuntime):
                 f"{worst} > 1)"
             )
 
-    def apply(self, shares: np.ndarray) -> StepEvent:
-        """Advance the float64 state one step and report it."""
+    def apply(self, shares: np.ndarray) -> _VectorStep:
+        """Advance the float64 state one step; return :attr:`last`.
+
+        Completions land in the state's :attr:`VectorState.finish` record.
+        """
         state = self.state
         tol = self.tol
         had_work = state.active_mask
@@ -717,20 +759,18 @@ class VectorRuntime(KernelRuntime):
             total = float(np.add.reduce(work))
         state.remaining -= work
         finished = (had_work & (state.remaining <= tol)).nonzero()[0]
-        completed: tuple[tuple[int, int], ...] = ()
-        if finished.size:
-            jobs = state.advance(finished)
-            completed = tuple(zip(finished.tolist(), jobs.tolist()))
-        t = state.t
+        last = self.last
+        last.count = count = finished.size
+        if count:
+            last.slots = finished
+            last.jobs = state.advance(finished)
+        last.t = state.t
         state.t += 1
-        return StepEvent(
-            t=t,
-            shares=shares,
-            processed=work,
-            completed=completed,
-            had_work=had_work,
-            progressed=bool(finished.size) or total > tol,
-        )
+        last.shares = shares
+        last.processed = work
+        last.had_work = had_work
+        last.progressed = count > 0 or total > tol
+        return last
 
     def describe_progress(self) -> str:
         """Completed-job counts, for limit-error messages."""
@@ -819,12 +859,8 @@ class VectorBackend(Backend):
         policy = self._resolve_policy(policy)
         runtime = self.make_runtime(instance, policy)
         objectives = resolve_objectives(objectives)
-        completions = CompletionRecorder()
-        observers: list = [completions]
-        recorder: ShareRecorder | None = None
-        if record_shares:
-            recorder = ShareRecorder()
-            observers.append(recorder)
+        recorder = ShareRecorder() if record_shares else None
+        observers = () if recorder is None else (recorder,)
         with backend_run_span(self.name, instance, policy) as span:
             makespan = run_kernel(
                 runtime,
@@ -835,6 +871,7 @@ class VectorBackend(Backend):
             )
             if span is not None:
                 span.note(makespan=makespan)
+        completion_steps = runtime.state.completion_steps()
         return BackendResult(
             backend=self.name,
             makespan=makespan,
@@ -842,9 +879,9 @@ class VectorBackend(Backend):
             processed=(
                 np.array(recorder.processed) if recorder is not None else None
             ),
-            completion_steps=completions.completion_steps,
+            completion_steps=completion_steps,
             instance=instance,
             objective_values=self._objective_values(
-                instance, objectives, completions.completion_steps, makespan
+                instance, objectives, completion_steps, makespan
             ),
         )

@@ -88,7 +88,9 @@ class Instance:
         (2, 2, 1)
     """
 
-    __slots__ = ("_queues", "_releases", "_k")
+    #: ``_sums`` caches the work sums (:meth:`_work_sums`); it takes no
+    #: part in equality, hashing or pickling.
+    __slots__ = ("_queues", "_releases", "_k", "_sums")
 
     def __init__(
         self,
@@ -121,6 +123,7 @@ class Instance:
             raise InvalidInstanceError("an instance needs at least one processor")
         self._queues: tuple[tuple[Job, ...], ...] = tuple(built)
         self._k = k
+        self._sums: tuple[Fraction, tuple[Fraction, ...]] | None = None
         if releases is None:
             self._releases: tuple[int, ...] = (0,) * len(built)
         else:
@@ -343,6 +346,26 @@ class Instance:
             raise ValueError(f"job index must be >= 1 (paper convention), got {j}")
         return tuple(i for i, q in enumerate(self._queues) if len(q) >= j)
 
+    def _work_sums(self) -> tuple[Fraction, tuple[Fraction, ...]]:
+        """``(bottleneck total, per-resource totals)``, summed on first use.
+
+        Order-invariant, so :meth:`with_order` hands them to its copy.
+        """
+        sums = self._sums
+        if sums is None:
+            jobs = [job for queue in self._queues for job in queue]
+            per_resource = tuple(
+                product_sum((job.requirements[r], job.size) for job in jobs)
+                for r in range(self._k)
+            )
+            total = (
+                per_resource[0]
+                if self._k == 1
+                else product_sum((job.requirement, job.size) for job in jobs)
+            )
+            sums = self._sums = (total, per_resource)
+        return sums
+
     def total_work(self) -> Fraction:
         """:math:`\\sum_{i,j} r_{ij} \\cdot p_{ij}` -- total resource-time.
 
@@ -351,9 +374,7 @@ class Instance:
         *bottleneck* work of every job; use :meth:`resource_work` for
         the per-resource congestion totals.
         """
-        return product_sum(
-            (job.requirement, job.size) for queue in self._queues for job in queue
-        )
+        return self._work_sums()[0]
 
     def resource_work(self, resource: int) -> Fraction:
         """Congestion :math:`W_l = \\sum_{i,j} r_{ijl} \\cdot p_{ij}` of one resource.
@@ -361,9 +382,7 @@ class Instance:
         The resource-time demanded from shared resource *resource*;
         ``resource_work(0) == total_work()`` for ``k == 1``.
         """
-        return product_sum(
-            (job.requirements[resource], job.size) for _, job in self.jobs()
-        )
+        return self._work_sums()[1][resource]
 
     def work_lower_bound(self) -> int:
         """Observation 1, per resource: ``max_l ceil(W_l)`` steps.
@@ -372,9 +391,7 @@ class Instance:
         resource lower-bounds the makespan.  For ``k == 1`` this is
         exactly the paper's ``ceil(total work)`` bound.
         """
-        if self._k == 1:
-            return frac_ceil(self.total_work())
-        return max(frac_ceil(self.resource_work(r)) for r in range(self._k))
+        return max(frac_ceil(work) for work in self._work_sums()[1])
 
     def makespan_lower_bound(self) -> int:
         """A makespan lower bound that accounts for release times.
@@ -588,6 +605,7 @@ class Instance:
         m = len(self._queues)
         grown = Instance.__new__(Instance)
         grown._k = self._k
+        grown._sums = None
         if processor == m:
             rel = 0 if release is None else whole_step(release, "release times")
             if rel < 0:
@@ -644,7 +662,9 @@ class Instance:
                     f"of 0..{len(queue) - 1}"
                 )
             queues.append(tuple(queue[j] for j in order))
-        return Instance(queues, releases=self._releases)
+        permuted = Instance(queues, releases=self._releases)
+        permuted._sums = self._sums
+        return permuted
 
     @classmethod
     def from_percent(cls, percents: Sequence[Sequence[Num]]) -> "Instance":
@@ -692,6 +712,13 @@ class Instance:
 
     def __hash__(self) -> int:
         return hash((self._queues, self._releases))
+
+    def __getstate__(self) -> tuple:
+        return self._queues, self._releases, self._k
+
+    def __setstate__(self, state: tuple) -> None:
+        self._queues, self._releases, self._k = state
+        self._sums = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         rows = ", ".join(

@@ -6,9 +6,9 @@ the many-core engine, and the vectorized backend -- and every scenario
 or metric had to be added to each copy.  The kernel collapses them:
 
 :func:`run_kernel`
-    owns the loop -- policy query, feasibility check, state advance,
-    stall and step-limit handling, arrival releases -- and knows
-    nothing about arithmetic or telemetry.
+    owns the loop -- stall and step-limit handling, waiting on
+    arrival releases, the heartbeat, suspension and observer
+    dispatch -- and knows nothing about arithmetic or telemetry.
 
 :class:`KernelRuntime`
     the arithmetic adapter.  :class:`ExactRuntime` (here) drives the
@@ -16,13 +16,20 @@ or metric had to be added to each copy.  The kernel collapses them:
     arithmetic; :class:`~repro.backends.vector.VectorRuntime` drives
     the float64 NumPy state.  A runtime translates between the
     policy's native share representation and the shared step
-    semantics, and reports each executed step as a :class:`StepEvent`.
+    semantics.  Its :meth:`~KernelRuntime.step` is the loop body --
+    release, query, check, apply -- and returns two plain values:
+    whether the step progressed and how many jobs it completed.  The
+    step's details stay readable on the runtime's :class:`AppliedStep`
+    record, which each step overwrites, and its state keeps the run's
+    completion record.
 
 :class:`StepObserver`
-    the telemetry adapter.  Share recording, completion bookkeeping,
+    the telemetry adapter.  Share recording,
     :class:`~repro.simulation.traces.RunTrace` construction, and
     busy/stall accounting are all observers subscribed to the kernel,
     so new metrics compose instead of being inlined into loop bodies.
+    A :class:`StepEvent` is built for a step only when an attached
+    observer overrides :meth:`~StepObserver.on_step`.
 
 ``simulate``, ``ManyCoreEngine.run``, ``ExactBackend`` and
 ``VectorBackend`` are thin configurations of this kernel; golden-output
@@ -137,6 +144,9 @@ def _check_share_matrix(
 class StepEvent:
     """One executed kernel step, in the runtime's native arithmetic.
 
+    Built from the runtime's :class:`AppliedStep` only for observers
+    that override :meth:`StepObserver.on_step`.
+
     Attributes:
         t: 0-based index of the step that just executed.
         shares: the share vector the policy produced (``Fraction``
@@ -167,6 +177,16 @@ class StepObserver:
     completion (:meth:`on_complete`, called once per finished job after
     the step's :meth:`on_step`), and the final makespan
     (:meth:`on_finish`).  They must not mutate the runtime state.
+
+    The kernel calls only the callbacks an observer overrides: a
+    :class:`StepEvent` is built for a step only when some attached
+    observer overrides :meth:`on_step`, and :meth:`on_complete` is
+    called only on observers that override it, with the jobs read off
+    the runtime's completion record.  A duck-typed observer (any
+    object with these methods, subclass or not) receives every
+    callback it defines.  Runs that only need completion steps attach
+    no observer and read the record instead (``completion_steps()`` on
+    the runtime's state).
 
     Example:
         >>> from repro.core import Instance
@@ -270,6 +290,61 @@ class CompletionRecorder(StepObserver):
         }
 
 
+class AppliedStep:
+    """The step a runtime applied last: one record per runtime.
+
+    :meth:`KernelRuntime.apply` overwrites and returns it, so a kernel
+    step builds no object; read it before the next step.  Runtimes
+    subclass it to add ``processed``, ``had_work`` and ``completed``
+    (the fields of :class:`StepEvent`) in their own arithmetic.
+
+    Attributes:
+        t: 0-based index of the step.
+        shares: the share vector (or matrix) the step applied.
+        progressed: True iff the step completed a job or processed a
+            measurable amount of work.
+        count: the number of jobs the step completed.
+    """
+
+    __slots__ = ("t", "shares", "progressed", "count")
+
+    def event(self) -> StepEvent:
+        """The step as a frozen :class:`StepEvent` (for ``on_step``)."""
+        return StepEvent(
+            t=self.t,
+            shares=self.shares,
+            processed=self.processed,
+            completed=self.completed,
+            had_work=self.had_work,
+            progressed=self.progressed,
+        )
+
+
+class _ExactStep(AppliedStep):
+    """:class:`AppliedStep` of :class:`ExactRuntime` (and the grid)."""
+
+    __slots__ = ("active", "work", "_state")
+
+    def __init__(self, state: ExecState) -> None:
+        self._state = state
+
+    @property
+    def processed(self) -> tuple:
+        """Work processed per processor."""
+        return tuple(self.work)
+
+    @property
+    def had_work(self) -> tuple[bool, ...]:
+        """Per processor, whether it was active when the step began."""
+        return tuple([j is not None for j in self.active])
+
+    @property
+    def completed(self) -> tuple["JobId", ...]:
+        """Jobs that finished in the step, read off the completion record."""
+        record = self._state.completions
+        return tuple(job for job, _ in record[len(record) - self.count :])
+
+
 class KernelRuntime:
     """Arithmetic adapter contract consumed by :func:`run_kernel`.
 
@@ -277,16 +352,18 @@ class KernelRuntime:
     shared loop skeleton into one arithmetic model:
 
     * :attr:`t` / :attr:`all_done` / :attr:`waiting` expose progress;
-    * :meth:`begin_step` activates processors whose release time has
-      arrived (a no-op for the static model);
-    * :meth:`query` asks the policy for shares in native form;
-    * :meth:`check` raises
+    * :meth:`step` executes one step: :meth:`begin_step` activates
+      processors whose release time has arrived (a no-op for the
+      static model), :meth:`query` asks the policy for shares in
+      native form, :meth:`check` raises
       :class:`~repro.exceptions.InfeasibleAssignmentError` on invalid
-      shares (within the runtime's tolerance);
-    * :meth:`apply` advances the state one step and reports it.
+      shares (within the runtime's tolerance), and :meth:`apply`
+      advances the state and overwrites :attr:`last`;
+    * :attr:`last` is the runtime's :class:`AppliedStep` record.
     """
 
     instance: Instance
+    last: AppliedStep
 
     @property
     def t(self) -> int:
@@ -318,9 +395,23 @@ class KernelRuntime:
         """Validate one share assignment (raise on infeasibility)."""
         raise NotImplementedError
 
-    def apply(self, shares: Sequence[Any]) -> StepEvent:
-        """Advance the state one step and report what happened."""
+    def apply(self, shares: Sequence[Any]) -> AppliedStep:
+        """Advance the state one step; return :attr:`last`, overwritten."""
         raise NotImplementedError
+
+    def step(self, policy) -> tuple[bool, int]:
+        """Execute one step of *policy*: release, query, check, apply.
+
+        Returns:
+            ``(progressed, completed)``: whether the step completed a
+            job or processed measurable work, and how many jobs it
+            completed.  :attr:`last` holds the rest.
+        """
+        self.begin_step()
+        shares = self.query(policy)
+        self.check(shares)
+        applied = self.apply(shares)
+        return applied.progressed, applied.count
 
     def describe_progress(self) -> str:
         """Short state description used in limit-error messages."""
@@ -336,11 +427,12 @@ class ExactRuntime(KernelRuntime):
     #: Checkpoint backend tag (see :mod:`repro.core.checkpoint`).
     kind = "exact"
 
-    __slots__ = ("instance", "state", "_m", "_k")
+    __slots__ = ("instance", "state", "last", "_m", "_k")
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
         self.state = ExecState(instance)
+        self.last = _ExactStep(self.state)
         self._m = instance.num_processors
         self._k = instance.num_resources
 
@@ -377,21 +469,13 @@ class ExactRuntime(KernelRuntime):
         """Exact feasibility check via :func:`check_share_vector`."""
         check_share_vector(self.instance, self.state.t, shares)
 
-    def apply(self, shares: Sequence[Fraction]) -> StepEvent:
-        """Advance :class:`ExecState` one step and report it."""
-        outcome = self.state.apply(shares)
-        progressed = bool(outcome.completed) or any(
-            p > 0 for p in outcome.processed
-        )
-        return StepEvent(
-            t=self.state.t - 1,
-            shares=shares,
-            processed=outcome.processed,
-            completed=outcome.completed,
-            # A processor steps its job exactly when it was active.
-            had_work=tuple([j is not None for j in outcome.active]),
-            progressed=progressed,
-        )
+    def apply(self, shares: Sequence[Fraction]) -> AppliedStep:
+        """Advance :class:`ExecState` one step; return :attr:`last`."""
+        last = self.last
+        last.t = self.state.t
+        last.shares = shares
+        last.active, last.work, last.count, last.progressed = self.state.execute(shares)
+        return last
 
     def describe_progress(self) -> str:
         """Completed-job counts, for limit-error messages."""
@@ -429,6 +513,7 @@ class GridRuntime(ExactRuntime):
     def __init__(self, instance: Instance, grid) -> None:
         self.instance = instance
         self.state = GridState(instance, grid)
+        self.last = _ExactStep(self.state)
         self._m = instance.num_processors
         self._k = 1
 
@@ -573,6 +658,11 @@ class _InstrumentedRuntime(KernelRuntime):
         """Delegate to the wrapped runtime."""
         return self._rt.waiting
 
+    @property
+    def last(self) -> AppliedStep:
+        """Delegate to the wrapped runtime."""
+        return self._rt.last
+
     def begin_step(self) -> None:
         """Delegate to the wrapped runtime."""
         self._rt.begin_step()
@@ -596,10 +686,10 @@ class _InstrumentedRuntime(KernelRuntime):
         if self._trace_steps:
             self._tracer.complete("kernel.step.check", t0, dt, t=self._rt.t)
 
-    def apply(self, shares: Sequence[Any]) -> StepEvent:
+    def apply(self, shares: Sequence[Any]) -> AppliedStep:
         """Time the state advance into metrics (and the tracer)."""
         t0 = perf_counter()
-        event = self._rt.apply(shares)
+        applied = self._rt.apply(shares)
         dt = perf_counter() - t0
         self._a.observe(dt)
         if self._trace_steps:
@@ -607,10 +697,10 @@ class _InstrumentedRuntime(KernelRuntime):
                 "kernel.step.apply",
                 t0,
                 dt,
-                t=event.t,
-                completed=len(event.completed),
+                t=applied.t,
+                completed=applied.count,
             )
-        return event
+        return applied
 
     def describe_progress(self) -> str:
         """Delegate to the wrapped runtime."""
@@ -630,10 +720,37 @@ def _log_heartbeat(runtime: KernelRuntime, waited: int, label: str) -> None:
     )
 
 
+def _subscribers(observers, wrap=None) -> tuple[tuple, tuple, tuple]:
+    """The observers overriding ``on_step``, ``on_complete`` and ``on_finish``.
+
+    An observer subscribes to each callback it has that is not
+    :class:`StepObserver`'s no-op; any other attribute counts, so a
+    duck-typed observer receives every callback (one it lacks fails as
+    an :class:`ObserverError`).  Each is passed through *wrap* (once
+    per observer) when given.
+    """
+    stepped, completing, finishing = [], [], []
+    for observer in observers:
+        used = observer if wrap is None else wrap(observer)
+        if _overrides(observer, "on_step"):
+            stepped.append(used)
+        if _overrides(observer, "on_complete"):
+            completing.append(used)
+        if _overrides(observer, "on_finish"):
+            finishing.append(used)
+    return tuple(stepped), tuple(completing), tuple(finishing)
+
+
+def _overrides(observer, name: str) -> bool:
+    """True iff *observer*'s *name* is not :class:`StepObserver`'s no-op."""
+    method = getattr(observer, name, None)
+    return getattr(method, "__func__", method) is not getattr(StepObserver, name)
+
+
 def _kernel_loop(
     runtime: KernelRuntime,
     policy,
-    observers: tuple[StepObserver, ...],
+    subscribers: tuple[tuple, tuple, tuple],
     limit: int,
     stall_limit: int,
     label: str,
@@ -642,6 +759,7 @@ def _kernel_loop(
     stop=None,
 ) -> int | None:
     """The one step loop (shared by the plain and instrumented paths)."""
+    stepped, completing, finishing = subscribers
     stalled = 0
     waited = 0
     while not runtime.all_done:
@@ -656,21 +774,23 @@ def _kernel_loop(
                 f"{label} did not finish within {limit} steps"
                 + (f" ({detail})" if detail else "")
             )
-        runtime.begin_step()
-        shares = runtime.query(policy)
-        runtime.check(shares)
-        event = runtime.apply(shares)
-        observer: StepObserver | None = None
-        try:
-            for observer in observers:
-                observer.on_step(event)
-            if event.completed:
-                for job in event.completed:
-                    for observer in observers:
-                        observer.on_complete(job, event.t)
-        except Exception as exc:
-            raise _observer_error(observer, f"step {event.t}", exc) from exc
-        if event.progressed:
+        progressed, completed = runtime.step(policy)
+        if stepped or (completed and completing):
+            applied = runtime.last
+            observer: StepObserver | None = None
+            try:
+                if stepped:
+                    event = applied.event()
+                    for observer in stepped:
+                        observer.on_step(event)
+                if completed and completing:
+                    t = applied.t
+                    for job in applied.completed:
+                        for observer in completing:
+                            observer.on_complete(job, t)
+            except Exception as exc:
+                raise _observer_error(observer, f"step {applied.t}", exc) from exc
+        if progressed:
             stalled = 0
             waited = 0
         elif runtime.waiting:
@@ -692,7 +812,7 @@ def _kernel_loop(
     makespan = runtime.t
     observer = None
     try:
-        for observer in observers:
+        for observer in finishing:
             observer.on_finish(makespan)
     except Exception as exc:
         raise _observer_error(
@@ -730,8 +850,10 @@ def run_kernel(
         policy: the resource-assignment policy (queried via
             ``runtime.query``, so exact runtimes call ``policy(state)``
             and the vector runtime calls ``policy.shares_array``).
-        observers: telemetry hooks, notified in the given order.  An
-            exception escaping an observer callback is re-raised as
+        observers: telemetry hooks, notified in the given order, each
+            only through the callbacks it overrides (see
+            :class:`StepObserver`).  An exception escaping an observer
+            callback is re-raised as
             :class:`~repro.exceptions.ObserverError` (original
             chained); the step it interrupted has already fully
             applied, so the runtime state stays consistent.
@@ -792,14 +914,13 @@ def run_kernel(
         limit = default_step_limit(runtime.instance)
     else:
         limit = max_steps
-    observers = tuple(observers)
     session = get_session()
     if session is None:
         # The zero-cost path: no per-step telemetry work at all.
         return _kernel_loop(
             runtime,
             policy,
-            observers,
+            _subscribers(observers),
             limit,
             stall_limit,
             label,
@@ -813,9 +934,9 @@ def run_kernel(
     policy_label = str(getattr(policy, "name", type(policy).__name__))
     obs_hist = metrics.histogram("kernel.observers_seconds")
     instrumented = _InstrumentedRuntime(runtime, session, policy_label)
-    wrapped = tuple(
-        _TimedObserver(obs, obs_hist)
-        for obs in (*observers, TelemetryObserver(session, runtime.instance))
+    subscribers = _subscribers(
+        (*observers, TelemetryObserver(session, runtime.instance)),
+        lambda obs: _TimedObserver(obs, obs_hist),
     )
 
     def _heartbeat(rt: KernelRuntime, waited: int, lbl: str) -> None:
@@ -841,7 +962,7 @@ def run_kernel(
         makespan = _kernel_loop(
             instrumented,
             policy,
-            wrapped,
+            subscribers,
             limit,
             stall_limit,
             label,

@@ -35,7 +35,10 @@ __all__ = ["ExecState", "GridState", "StepOutcome", "Configuration", "grid_units
 
 @dataclass(frozen=True, slots=True)
 class StepOutcome:
-    """What happened during one executed step.
+    """What happened during one executed step (:meth:`ExecState.apply`).
+
+    The validators' report; the kernel's runtimes read the step off
+    :meth:`ExecState.execute` and the completion record instead.
 
     Attributes:
         active: per processor, the job index processed (``None`` if the
@@ -55,7 +58,7 @@ class StepOutcome:
 class ExecState:
     """Mutable execution state of a CRSharing run.
 
-    The semantics implemented by :meth:`apply` follow Section 3.1:
+    The semantics implemented by :meth:`execute` follow Section 3.1:
 
     * each processor works on its first unfinished job only;
     * the work processed in a step is
@@ -70,7 +73,7 @@ class ExecState:
       this clause never triggers.
 
     Multi-resource instances (``k > 1``) use the same state with
-    *matrix* share input: :meth:`apply` then expects ``k`` share rows
+    *matrix* share input: :meth:`execute` then expects ``k`` share rows
     (one per resource), a job's speed is set by its bottleneck
     resource (``min_l s_l / r_l``, capped at full speed), and
     ``remaining`` tracks work in bottleneck resource-time units.
@@ -84,6 +87,7 @@ class ExecState:
         "done",
         "remaining",
         "resource_spent",
+        "completions",
         "_started",
         "_releases",
         "_k",
@@ -103,6 +107,9 @@ class ExecState:
         #: Cumulative resource-time consumed per shared resource (the
         #: "spent" ledger; one entry per resource, k=1 has exactly one).
         self.resource_spent: list[Fraction] = [self.zero] * instance.num_resources
+        #: The completion record: ``((i, j), t)`` per job completed since
+        #: the state was built or restored, in completion order.
+        self.completions: list[tuple[JobId, int]] = []
         self._started: set[JobId] = set()
         # None for static instances keeps the hot-path checks cheap.
         self._releases = instance.releases if instance.has_releases else None
@@ -213,7 +220,8 @@ class ExecState:
         instance (the service layer restores into an **extended**
         instance whose new queues keep their freshly-initialized
         state); every described processor is validated against the
-        instance this state was built over.
+        instance this state was built over.  The completion record
+        restarts empty (the payload does not carry it).
 
         Raises:
             CheckpointError: on malformed payloads or any
@@ -270,6 +278,7 @@ class ExecState:
         self.remaining[: len(remaining)] = remaining
         self.resource_spent = spent
         self._started = started
+        self.completions = []
 
     def extend(self, instance: Instance, processor: int) -> None:
         """Adopt *instance*: this state's instance plus one job on *processor*.
@@ -295,59 +304,96 @@ class ExecState:
     # ------------------------------------------------------------------
     # Step semantics
     # ------------------------------------------------------------------
+    def completion_steps(self) -> dict[JobId, int]:
+        """0-based completion step of every job :attr:`completions` holds."""
+        return dict(self.completions)
+
     def apply(self, shares: Sequence[Fraction]) -> StepOutcome:
+        """Execute one step and report it as a :class:`StepOutcome`.
+
+        The validators' form of :meth:`execute` (the same step rule):
+        :class:`~repro.core.schedule.Schedule` replays rows through it.
+        The caller is responsible for feasibility checks.
+        """
+        started: list[JobId] = []
+        active, processed, count, _ = self.execute(shares, started)
+        record = self.completions
+        return StepOutcome(
+            active=tuple(active),
+            processed=tuple(processed),
+            completed=tuple(job for job, _ in record[len(record) - count :]),
+            started=tuple(started),
+        )
+
+    def execute(
+        self, shares: Sequence[Fraction], started: list[JobId] | None = None
+    ) -> tuple[list[int | None], list[Fraction], int, bool]:
         """Execute one step with the given share vector (or matrix).
 
         For single-resource instances *shares* is one value per
         processor (the paper's :math:`R_i(t)`); for ``k > 1`` it is a
         sequence of ``k`` rows, one per resource.  The caller is
-        responsible for feasibility checks (the simulator and
-        :class:`~repro.core.schedule.Schedule` validate before
-        calling).
+        responsible for feasibility checks (the kernel's runtimes and
+        :class:`~repro.core.schedule.Schedule` validate before calling).
+
+        Each completion is appended to :attr:`completions` as
+        ``((i, j), t)``; *started*, if given, receives the jobs that got
+        their first resource this step (zero-work jobs count as started
+        when they become active).
+
+        Returns:
+            ``(active, processed, completed, progressed)``: per
+            processor the job index processed (``None`` if the processor
+            was not active) and the work processed, the number of jobs
+            completed, and whether the step completed a job or
+            processed any work.
         """
         if self._k != 1:
-            return self._apply_multi(shares)
+            return self._execute_multi(shares, started)
         zero = self.zero
         done = self.done
         remaining = self.remaining
         started_jobs = self._started
+        record = self.completions
+        t = self.t
         active: list[int | None] = [None] * len(done)
         processed: list[Fraction] = [zero] * len(done)
-        completed: list[JobId] = []
-        started: list[JobId] = []
+        count = 0
+        progressed = False
         releases = self._releases
         for i, n_i in enumerate(self._num_jobs):
             j = done[i]
             if j >= n_i:
                 continue
-            if releases is not None and self.t < releases[i]:
+            if releases is not None and t < releases[i]:
                 continue  # not yet released: granted shares are wasted
             active[i] = j
             work = min(shares[i], self.requirement(i), remaining[i])
-            if work > zero and (i, j) not in started_jobs:
-                started_jobs.add((i, j))
-                started.append((i, j))
+            if work > zero:
+                progressed = True
+                self.resource_spent[0] += work
+                if (i, j) not in started_jobs:
+                    started_jobs.add((i, j))
+                    if started is not None:
+                        started.append((i, j))
             processed[i] = work
             remaining[i] -= work
-            if work > zero:
-                self.resource_spent[0] += work
             if remaining[i] == zero:
                 if (i, j) not in started_jobs:
                     started_jobs.add((i, j))
-                    started.append((i, j))
-                completed.append((i, j))
+                    if started is not None:
+                        started.append((i, j))
+                record.append(((i, j), t))
+                count += 1
                 done[i] = j + 1
                 if j + 1 < n_i:
                     remaining[i] = self._work(i, j + 1)
-        self.t += 1
-        return StepOutcome(
-            active=tuple(active),
-            processed=tuple(processed),
-            completed=tuple(completed),
-            started=tuple(started),
-        )
+        self.t = t + 1
+        return active, processed, count, progressed or count > 0
 
-    def _apply_multi(self, rows: Sequence[Sequence[Fraction]]) -> StepOutcome:
+    def _execute_multi(
+        self, rows: Sequence[Sequence[Fraction]], started: list[JobId] | None
+    ) -> tuple[list[int | None], list[Fraction], int, bool]:
         """Multi-resource step: *rows* holds ``k`` share rows.
 
         A job's speed is set by its bottleneck resource --
@@ -357,16 +403,18 @@ class ExecState:
         """
         inst = self.instance
         m = inst.num_processors
+        t = self.t
+        record = self.completions
         active: list[int | None] = [None] * m
         processed: list[Fraction] = [ZERO] * m
-        completed: list[JobId] = []
-        started: list[JobId] = []
+        count = 0
+        progressed = False
         releases = self._releases
         for i in range(m):
             j = self.done[i]
             if j >= inst.num_jobs(i):
                 continue
-            if releases is not None and self.t < releases[i]:
+            if releases is not None and t < releases[i]:
                 continue  # not yet released: granted shares are wasted
             active[i] = j
             job = inst.job(i, j)
@@ -383,10 +431,12 @@ class ExecState:
                 work = min(fraction * rstar, self.remaining[i])
             if work > ZERO and (i, j) not in self._started:
                 self._started.add((i, j))
-                started.append((i, j))
+                if started is not None:
+                    started.append((i, j))
             processed[i] = work
             self.remaining[i] -= work
             if work > ZERO:
+                progressed = True
                 progress = work / rstar
                 spent = self.resource_spent
                 for lane, req in enumerate(job.requirements):
@@ -395,18 +445,15 @@ class ExecState:
             if self.remaining[i] == ZERO:
                 if (i, j) not in self._started:
                     self._started.add((i, j))
-                    started.append((i, j))
-                completed.append((i, j))
+                    if started is not None:
+                        started.append((i, j))
+                record.append(((i, j), t))
+                count += 1
                 self.done[i] += 1
                 if self.done[i] < inst.num_jobs(i):
                     self.remaining[i] = inst.job(i, self.done[i]).work
-        self.t += 1
-        return StepOutcome(
-            active=tuple(active),
-            processed=tuple(processed),
-            completed=tuple(completed),
-            started=tuple(started),
-        )
+        self.t = t + 1
+        return active, processed, count, progressed or count > 0
 
 
 def grid_units(instance: Instance) -> tuple[list[list[int]], list[list[int]], int] | None:
