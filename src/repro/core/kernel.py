@@ -178,15 +178,15 @@ class StepObserver:
     the step's :meth:`on_step`), and the final makespan
     (:meth:`on_finish`).  They must not mutate the runtime state.
 
-    The kernel calls only the callbacks an observer overrides: a
-    :class:`StepEvent` is built for a step only when some attached
+    The kernel calls only the callbacks an observer's class overrides:
+    a :class:`StepEvent` is built for a step only when some attached
     observer overrides :meth:`on_step`, and :meth:`on_complete` is
     called only on observers that override it, with the jobs read off
-    the runtime's completion record.  A duck-typed observer (any
-    object with these methods, subclass or not) receives every
-    callback it defines.  Runs that only need completion steps attach
-    no observer and read the record instead (``completion_steps()`` on
-    the runtime's state).
+    the runtime's completion record.  A duck-typed observer (an object
+    with these methods whose class is not a subclass) receives every
+    callback.  Runs that only need completion steps attach no observer
+    and read the record instead (``completion_steps()`` on the
+    runtime's state).
 
     Example:
         >>> from repro.core import Instance
@@ -398,6 +398,10 @@ class KernelRuntime:
     def apply(self, shares: Sequence[Any]) -> AppliedStep:
         """Advance the state one step; return :attr:`last`, overwritten."""
         raise NotImplementedError
+
+    def event(self) -> StepEvent:
+        """The last step as a :class:`StepEvent` (for ``on_step`` observers)."""
+        return self.last.event()
 
     def step(self, policy) -> tuple[bool, int]:
         """Execute one step of *policy*: release, query, check, apply.
@@ -631,7 +635,7 @@ class _InstrumentedRuntime(KernelRuntime):
     bit-identical (the golden-with-tracing suite pins this).
     """
 
-    __slots__ = ("instance", "_rt", "_tracer", "_trace_steps", "_q", "_c", "_a")
+    __slots__ = ("instance", "_rt", "_tracer", "_trace_steps", "_q", "_c", "_a", "_o")
 
     def __init__(self, runtime: KernelRuntime, session: "TelemetrySession", policy_label: str) -> None:
         self._rt = runtime
@@ -642,6 +646,7 @@ class _InstrumentedRuntime(KernelRuntime):
         self._q = metrics.histogram("kernel.query_seconds", policy=policy_label)
         self._c = metrics.histogram("kernel.check_seconds")
         self._a = metrics.histogram("kernel.apply_seconds")
+        self._o = metrics.histogram("kernel.observers_seconds")
 
     @property
     def t(self) -> int:
@@ -702,6 +707,13 @@ class _InstrumentedRuntime(KernelRuntime):
             )
         return applied
 
+    def event(self) -> StepEvent:
+        """Time building the step's event into the observers histogram."""
+        t0 = perf_counter()
+        event = self._rt.event()
+        self._o.observe(perf_counter() - t0)
+        return event
+
     def describe_progress(self) -> str:
         """Delegate to the wrapped runtime."""
         return self._rt.describe_progress()
@@ -723,11 +735,10 @@ def _log_heartbeat(runtime: KernelRuntime, waited: int, label: str) -> None:
 def _subscribers(observers, wrap=None) -> tuple[tuple, tuple, tuple]:
     """The observers overriding ``on_step``, ``on_complete`` and ``on_finish``.
 
-    An observer subscribes to each callback it has that is not
-    :class:`StepObserver`'s no-op; any other attribute counts, so a
-    duck-typed observer receives every callback (one it lacks fails as
-    an :class:`ObserverError`).  Each is passed through *wrap* (once
-    per observer) when given.
+    An observer subscribes to each callback its class overrides; a
+    duck-typed observer's class inherits no no-op, so it receives every
+    callback (one it lacks fails as an :class:`ObserverError`).  Each
+    is passed through *wrap* (once per observer) when given.
     """
     stepped, completing, finishing = [], [], []
     for observer in observers:
@@ -742,9 +753,8 @@ def _subscribers(observers, wrap=None) -> tuple[tuple, tuple, tuple]:
 
 
 def _overrides(observer, name: str) -> bool:
-    """True iff *observer*'s *name* is not :class:`StepObserver`'s no-op."""
-    method = getattr(observer, name, None)
-    return getattr(method, "__func__", method) is not getattr(StepObserver, name)
+    """True iff *observer*'s class does not inherit :class:`StepObserver`'s no-op *name*."""
+    return getattr(type(observer), name, None) is not getattr(StepObserver, name)
 
 
 def _kernel_loop(
@@ -780,7 +790,7 @@ def _kernel_loop(
             observer: StepObserver | None = None
             try:
                 if stepped:
-                    event = applied.event()
+                    event = runtime.event()
                     for observer in stepped:
                         observer.on_step(event)
                 if completed and completing:
