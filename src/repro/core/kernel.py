@@ -631,6 +631,7 @@ class _InstrumentedRuntime(KernelRuntime):
     check, and apply land in per-phase metrics histograms (query
     labelled by policy -- the per-policy query-latency series) and,
     when the tracer is live, per-step ``kernel.step.*`` span records.
+    Building a step's :class:`StepEvent` counts as observer time.
     The proxy never touches shares or state, so instrumented runs stay
     bit-identical (the golden-with-tracing suite pins this).
     """
