@@ -108,14 +108,16 @@ class JobTableState:
         # (k, m) for one lane; a batch's (k, B, m) rows read as (B, k, m).
         self.active_req_matrix = req if req.ndim == 2 else req.swapaxes(0, 1)
 
-    def _load_jobs(self, slots: np.ndarray, columns: np.ndarray) -> None:
+    def _load_jobs(self, slots: np.ndarray, columns: np.ndarray) -> np.ndarray:
         """Load job ``columns[s]`` of each slot into the active block.
 
         One gather and one scatter of every field row: a *columns*
         entry equal to the queue length loads the sentinel's empty job.
+        Returns the loaded jobs' flat indices into a table row.
         """
         at = slots * self._table.shape[-1] + columns
         self._flat_active[:, slots] = self._flat_table.take(at, axis=1)
+        return at
 
     @property
     def num_processors(self) -> int:
@@ -206,9 +208,11 @@ class VectorState(JobTableState):
         resource_spent: ``(k,)`` cumulative resource-time consumed per
             shared resource.
         finish: the completion record, ``(m, n + 1)`` int64 like the
-            job table: ``finish[i, j]`` is the 0-based step job ``j`` of
-            queue ``i`` completed in, for the jobs completed since the
-            state was built or restored (0 elsewhere).
+            job table and indexed by done count: ``finish[i, c]`` is the
+            0-based step in which queue ``i`` completed its ``c``-th job
+            (job ``c - 1``), for the jobs completed since the state was
+            built or restored (0 elsewhere).  :meth:`advance` writes it
+            at the flat index it loads the successor job from.
     """
 
     __slots__ = (
@@ -265,9 +269,11 @@ class VectorState(JobTableState):
         Records step :attr:`t` as their completion step in :attr:`finish`.
         """
         self._left -= slots.size
-        jobs = JobTableState.advance(self, slots)
-        self.finish[slots, jobs] = self.t
-        return jobs
+        completed = self.done.take(slots)
+        successor = completed + 1
+        self.done.put(slots, successor)
+        self.finish.put(self._load_jobs(slots, successor), self.t)
+        return completed
 
     def completion_steps(self) -> dict[tuple[int, int], int]:
         """0-based completion step per job id, read off :attr:`finish`.
@@ -277,7 +283,7 @@ class VectorState(JobTableState):
         return {
             (i, j): t
             for i, (row, n) in enumerate(zip(self.finish.tolist(), self.num_jobs.tolist()))
-            for j, t in enumerate(row[:n])
+            for j, t in enumerate(row[1 : n + 1])
         }
 
     def capture(self) -> dict:
