@@ -1,9 +1,10 @@
 """Integer-grid makespans for GreedyBalance and the oracles.
 
 Every k=1 instance's requirements live on a common rational grid
-(``r = units / D`` for the least common denominator ``D``, see
-:meth:`repro.core.instance.Instance.to_integer_grid`), so water-fill
-executions run in integers: the per-step capacity is ``D`` units.
+(``r = units / D`` for the least common denominator ``D``, read off
+the instance's job table, :meth:`repro.core.instance.Instance.job_table`),
+so water-fill executions run in integers: the per-step capacity is
+``D`` units.
 
 :func:`greedy_balance_makespan` runs GreedyBalance on the grid runtime
 (:class:`~repro.core.kernel.GridRuntime`, the exact backend's engine
@@ -26,7 +27,6 @@ from typing import Sequence
 
 from ..core.instance import Instance
 from ..core.kernel import GridRuntime, run_kernel
-from ..core.state import grid_units
 from ..exceptions import SolverError
 from .greedy_balance import GreedyBalance
 
@@ -50,7 +50,7 @@ def greedy_balance_makespan(instance: Instance) -> int:
     instance.require_single_resource("greedy_balance_makespan (fast path)")
     instance.require_unit_size("greedy_balance_makespan (fast path)")
     instance.require_static("greedy_balance_makespan (fast path)")
-    return run_kernel(GridRuntime(instance, grid_units(instance)), GreedyBalance())
+    return run_kernel(GridRuntime(instance), GreedyBalance())
 
 
 def grid_witness_makespan(

@@ -268,6 +268,8 @@ def branch_and_bound_order(
     m = instance.num_processors
     n_jobs = [instance.num_jobs(i) for i in range(m)]
     total = sum(n_jobs)
+    # Every leaf is a with_order copy: it gathers this one job table.
+    instance.job_table()
     if evaluator is None:
         evaluator = lambda inst: exact_order_makespan(inst, oracle=oracle)  # noqa: E731
     if lower_bound_fn is None:
@@ -444,6 +446,7 @@ def enumerate_order_optimum(
     leaf_evaluations = 0
     best_value: int | None = None
     best_order = identity_order(instance)
+    instance.job_table()  # gathered by every with_order leaf
     per_queue = [
         list(permutations(range(instance.num_jobs(i))))
         for i in range(instance.num_processors)

@@ -18,7 +18,6 @@ from ..core.instance import Instance
 from ..core.kernel import ExactRuntime, GridRuntime, ShareRecorder, run_kernel
 from ..core.schedule import Schedule
 from ..core.simulator import simulate
-from ..core.state import grid_units
 from ..exceptions import InvalidScheduleError
 from .base import Backend, BackendResult, backend_run_span, resolve_objectives
 
@@ -60,14 +59,13 @@ class ExactBackend(Backend):
         policy = self._resolve_policy(policy)
         objectives = resolve_objectives(objectives)
         with backend_run_span(self.name, instance, policy) as span:
-            grid = None
-            if instance.num_resources == 1 and isinstance(policy, WaterFillPolicy):
-                grid = grid_units(instance)
-            if instance.num_resources == 1 and grid is None:
+            if _runs_on_grid(instance, policy):
+                result = self._run_grid(instance, policy, max_steps, record_shares)
+            elif instance.num_resources == 1:
                 schedule = simulate(instance, policy, max_steps=max_steps)
                 result = self._result(instance, schedule, record_shares)
             else:
-                result = self._run_kernel(instance, policy, grid, max_steps, record_shares)
+                result = self._run_multi(instance, policy, max_steps, record_shares)
             if span is not None:
                 span.note(makespan=result.makespan)
         result.objective_values = self._objective_values(
@@ -89,36 +87,61 @@ class ExactBackend(Backend):
             instance=instance,
         )
 
-    def _run_kernel(
-        self, instance: Instance, policy, grid, max_steps, record_shares: bool
+    def _run_grid(
+        self, instance: Instance, policy, max_steps, record_shares: bool
     ) -> BackendResult:
-        """Kernel-direct run: on the integer grid (*grid* given), or ``k > 1``."""
-        runtime = ExactRuntime(instance) if grid is None else GridRuntime(instance, grid)
-        recorder = ShareRecorder() if record_shares or grid is not None else None
-        observers = () if recorder is None else (recorder,)
-        makespan = run_kernel(runtime, policy, observers, max_steps=max_steps)
-        if grid is not None and record_shares:
-            rows = [[Fraction(x, grid[2]) for x in row] for row in recorder.shares]
+        """A water-fill run on the integer grid, validated like a Schedule."""
+        runtime = GridRuntime(instance)
+        makespan = run_kernel(runtime, policy, max_steps=max_steps)
+        if record_shares:
+            d = runtime.state.capacity
+            rows = [[Fraction(x, d) for x in row] for row in runtime.rows]
             return self._result(instance, Schedule(instance, rows), True)
         completion_steps = runtime.state.completion_steps()
-        if grid is not None:
-            _replay(instance, grid, recorder.shares, makespan, completion_steps)
+        _replay(instance, runtime.rows, makespan, completion_steps)
+        return BackendResult(
+            backend=self.name,
+            makespan=makespan,
+            shares=None,
+            processed=None,
+            completion_steps=completion_steps,
+            instance=instance,
+        )
+
+    def _run_multi(
+        self, instance: Instance, policy, max_steps, record_shares: bool
+    ) -> BackendResult:
+        """A ``k > 1`` run through :class:`ExactRuntime`."""
+        runtime = ExactRuntime(instance)
+        recorder = ShareRecorder() if record_shares else None
+        observers = () if recorder is None else (recorder,)
+        makespan = run_kernel(runtime, policy, observers, max_steps=max_steps)
         return BackendResult(
             backend=self.name,
             makespan=makespan,
             shares=recorder.shares if record_shares else None,
             processed=recorder.processed if record_shares else None,
-            completion_steps=completion_steps,
+            completion_steps=runtime.state.completion_steps(),
             instance=instance,
         )
 
 
-def _replay(instance: Instance, grid, rows, makespan: int, completions: dict) -> None:
+def _runs_on_grid(instance: Instance, policy) -> bool:
+    """True iff *policy* runs on the integer grid: a k=1 water-fill run
+    whose job table is on the grid."""
+    return (
+        instance.num_resources == 1
+        and isinstance(policy, WaterFillPolicy)
+        and instance.job_table().on_grid
+    )
+
+
+def _replay(instance: Instance, rows, makespan: int, completions: dict) -> None:
     """Validate a grid run as ``Schedule`` would: re-execute *rows*, each checked.
 
     Every job must finish at the run's own makespan and completion steps.
     """
-    replay = GridRuntime(instance, grid)
+    replay = GridRuntime(instance)
     state = replay.state
     for row in rows:
         replay.check(row)

@@ -31,14 +31,13 @@ float rows independently with the same tolerance.
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 
 import numpy as np
 
 from ..core.instance import Instance
-from ..core.job import Job
 from ..core.kernel import AppliedStep, KernelRuntime, ShareRecorder, run_kernel
+from ..core.table import job_column, over_lcm
 from ..exceptions import (
     CheckpointError,
     InfeasibleAssignmentError,
@@ -239,15 +238,16 @@ class VectorState(JobTableState):
     )
 
     def __init__(self, instance: Instance) -> None:
-        # The padded job table: past its last job, every queue holds
-        # the sentinel's empty job (see job_tables).
-        num_jobs, release, table = job_tables((instance,))
-        self.num_jobs, self._release = num_jobs[0], release[0]
+        # The padded job table, the instance's read-only float rows:
+        # past its last job, every queue holds the sentinel's empty job.
+        table = instance.job_table()
+        self.num_jobs = np.array(table.lengths, dtype=np.int64)
+        self._release = np.array(instance.releases, dtype=np.int64)
         self._left = instance.total_jobs
         self.instance = instance
         self.t = 0
         self.num_resources = instance.num_resources
-        self._start_views(table[:, 0])
+        self._start_views(table.floats())
         self.finish = np.zeros(self._table.shape[1:], dtype=np.int64)
 
     @property
@@ -393,10 +393,11 @@ class VectorState(JobTableState):
         j = int(self.num_jobs[i])
         if j + 1 == self._table.shape[-1]:
             self._grow_table(2 * (j + 1))
-        column = list(_job_fields(job))
-        if len(self._table) > 4:
-            column += [float(r) for r in job.requirements]
-        self._table[:, i, j] = column
+        elif not self._table.flags.writeable:
+            # The instance's cached rows: write into a copy of them.
+            self._table = self._table.copy()
+            self._bind_views()
+        self._table[:, i, j] = job_column(job, self.num_resources)
         self.num_jobs[i] = j + 1
         self._left += 1
         self.instance = instance
@@ -435,44 +436,53 @@ class VectorState(JobTableState):
         self._bind_views()
 
 
-def _job_fields(job: Job) -> tuple[float, float, float, float]:
-    """*job*'s requirement / work / weight / deadline row entries."""
-    req = float(job.requirement)
-    work = req if job.size == 1 else float(job.work)
-    dl = np.inf if job.deadline is None else float(job.deadline)
-    return req, work, float(job.weight), dl
-
-
 class JobBag:
     """The distinct jobs of a batch as rows of one float table.
 
-    Each distinct job (by ``Job.__eq__``) gets one row id, in
-    first-seen order, so equal jobs share an id and id tuples compare
-    exactly as instance queues do.  The table ends in the sentinel
+    Each distinct job gets one row id, in first-seen order, keyed by its
+    integer row of its instance's job table
+    (:meth:`~repro.core.table.JobTable.rows`) under that table's
+    denominators.  Equal jobs of one instance share an id, so id tuples
+    compare exactly as its queues do.  The table ends in the sentinel
     column, id ``-1``: the empty job of :func:`job_tables`.
     :meth:`select` makes a batch of row-id lanes, with no ``Instance``
     or ``Job`` per lane.
     """
 
-    __slots__ = ("jobs", "_ids", "_rows", "_table", "_weights")
+    __slots__ = ("jobs", "_ids", "_rows", "_weights", "_table", "_weight_grid")
 
     def __init__(self) -> None:
-        self.jobs: list[Job] = []
-        self._ids: dict[Job, int] = {}
-        self._rows: list[tuple[float, float, float, float]] = []
-        self._table = self._weights = None
+        self.jobs: list = []
+        self._ids: dict[tuple, dict[tuple, int]] = {}
+        # Per row: its float column (4 + k fields when k > 1) and its
+        # weight as (numerator, denominator).
+        self._rows: list[list[float]] = []
+        self._weights: list[tuple[int, int]] = []
+        self._table = self._weight_grid = None
 
-    def ids(self, queue) -> tuple[int, ...]:
-        """Row ids of *queue*'s jobs, adding the jobs not seen yet."""
-        out = []
-        for job in queue:
-            row = self._ids.get(job)
-            if row is None:
-                row = self._ids[job] = len(self.jobs)
-                self.jobs.append(job)
-                self._rows.append(_job_fields(job))
-                self._table = self._weights = None
-            out.append(row)
+    def add(self, instance: Instance) -> tuple[tuple[int, ...], ...]:
+        """Per-queue row ids of *instance*'s jobs, adding the rows not seen yet."""
+        table = instance.job_table()
+        ids = self._ids.setdefault(
+            (table.req_den, table.size_den, table.weight_den), {}
+        )
+        out, new = [], []
+        keys = table.rows()
+        for i, n in enumerate(table.lengths):
+            queue = []
+            for j, key in zip(range(n), keys):
+                row = ids.get(key)
+                if row is None:
+                    row = ids[key] = len(self.jobs)
+                    self.jobs.append(instance.job(i, j))
+                    self._weights.append((key[-2], table.weight_den))
+                    new.append((i, j))
+                queue.append(row)
+            out.append(tuple(queue))
+        if new:
+            queues, columns = zip(*new)
+            self._rows += table.floats()[:, queues, columns].T.tolist()
+            self._table = self._weight_grid = None
         return tuple(out)
 
     def table(self, k: int = 1) -> np.ndarray:
@@ -484,26 +494,26 @@ class JobBag:
         """
         rows = 4 + k if k > 1 else 4
         if self._table is None or len(self._table) != rows:
-            table = np.array(self._rows + [(0.0, 0.0, 0.0, np.inf)]).T
+            table = np.array([r[:4] for r in self._rows] + [[0.0, 0.0, 0.0, np.inf]]).T
             if k > 1:
                 reqs = np.zeros((k, table.shape[1]))
-                for row, job in enumerate(self.jobs):
-                    reqs[: len(job.requirements), row] = [float(r) for r in job.requirements]
+                for row, column in enumerate(self._rows):
+                    own = column[4:] or column[:1]
+                    reqs[: len(own), row] = own
                 table = np.concatenate([table, reqs])
             self._table = np.ascontiguousarray(table)
         return self._table
 
     def weight_grid(self) -> tuple[np.ndarray | None, int]:
-        """Exact weights as ``(numerators, d)``: weight = numerator / d.
+        """The bag's weight column as ``(numerators, d)``: weight = numerator / d.
 
         Int64 numerators end in the sentinel's 0 (``None`` on overflow).
         """
-        if self._weights is None:
-            ratios = [job.weight.as_integer_ratio() for job in self.jobs]
-            d = math.lcm(*(q for _, q in ratios))
-            num = [p * (d // q) for p, q in ratios] + [0]
-            self._weights = (np.array(num) if max(num) < 2**63 else None, d)
-        return self._weights
+        if self._weight_grid is None:
+            num, d = over_lcm(self._weights)
+            num.append(0)
+            self._weight_grid = (np.array(num) if max(num) < 2**63 else None, d)
+        return self._weight_grid
 
     def select(self, queues, releases) -> "BagSelection":
         """The lanes *queues* (per lane, per-queue id tuples) over this bag."""
@@ -531,7 +541,7 @@ class BagSelection:
         """The lanes of *instances* over a bag of their jobs."""
         instances = tuple(instances)
         bag = JobBag()
-        queues = [[bag.ids(q) for q in inst.queues] for inst in instances]
+        queues = [bag.add(inst) for inst in instances]
         return cls(bag, queues, [inst.releases for inst in instances], instances)
 
     @property

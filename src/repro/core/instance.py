@@ -43,20 +43,14 @@ via :meth:`Instance.require_single_resource`.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from ..exceptions import InvalidInstanceError, UnitSizeRequiredError
 from .job import Job, JobId, whole_step
-from .numerics import (
-    Num,
-    frac_ceil,
-    frac_sum,
-    product_sum,
-    to_frac,
-)
+from .numerics import Num, frac_sum, to_frac
+from .table import JobTable
 
 __all__ = ["Instance"]
 
@@ -88,9 +82,9 @@ class Instance:
         (2, 2, 1)
     """
 
-    #: ``_sums`` caches the work sums (:meth:`_work_sums`); it takes no
-    #: part in equality, hashing or pickling.
-    __slots__ = ("_queues", "_releases", "_k", "_sums")
+    #: ``_table`` caches the integer job table (:meth:`job_table`); it
+    #: takes no part in equality, hashing or pickling.
+    __slots__ = ("_queues", "_releases", "_k", "_table")
 
     def __init__(
         self,
@@ -123,7 +117,7 @@ class Instance:
             raise InvalidInstanceError("an instance needs at least one processor")
         self._queues: tuple[tuple[Job, ...], ...] = tuple(built)
         self._k = k
-        self._sums: tuple[Fraction, tuple[Fraction, ...]] | None = None
+        self._table: JobTable | None = None
         if releases is None:
             self._releases: tuple[int, ...] = (0,) * len(built)
         else:
@@ -240,8 +234,13 @@ class Instance:
         return max(self._releases)
 
     def with_releases(self, releases: Sequence[int] | None) -> "Instance":
-        """A copy of this instance with the given release times."""
-        return Instance(self._queues, releases=releases)
+        """A copy of this instance with the given release times.
+
+        The copy shares this instance's job table (releases are not in it).
+        """
+        copy = Instance(self._queues, releases=releases)
+        copy._table = self._table
+        return copy
 
     def require_static(self, algorithm: str) -> None:
         """Reject instances with non-zero release times.
@@ -346,25 +345,15 @@ class Instance:
             raise ValueError(f"job index must be >= 1 (paper convention), got {j}")
         return tuple(i for i, q in enumerate(self._queues) if len(q) >= j)
 
-    def _work_sums(self) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """``(bottleneck total, per-resource totals)``, summed on first use.
+    def job_table(self) -> JobTable:
+        """The integer job table (:mod:`repro.core.table`), built on first use.
 
-        Order-invariant, so :meth:`with_order` hands them to its copy.
+        ``with_order`` copies gather its rows instead of building one.
         """
-        sums = self._sums
-        if sums is None:
-            jobs = [job for queue in self._queues for job in queue]
-            per_resource = tuple(
-                product_sum((job.requirements[r], job.size) for job in jobs)
-                for r in range(self._k)
-            )
-            total = (
-                per_resource[0]
-                if self._k == 1
-                else product_sum((job.requirement, job.size) for job in jobs)
-            )
-            sums = self._sums = (total, per_resource)
-        return sums
+        table = self._table
+        if table is None:
+            table = self._table = JobTable(self._queues, self._k)
+        return table
 
     def total_work(self) -> Fraction:
         """:math:`\\sum_{i,j} r_{ij} \\cdot p_{ij}` -- total resource-time.
@@ -374,7 +363,8 @@ class Instance:
         *bottleneck* work of every job; use :meth:`resource_work` for
         the per-resource congestion totals.
         """
-        return self._work_sums()[0]
+        table = self.job_table()
+        return Fraction(table.work_sum, table.work_den)
 
     def resource_work(self, resource: int) -> Fraction:
         """Congestion :math:`W_l = \\sum_{i,j} r_{ijl} \\cdot p_{ij}` of one resource.
@@ -382,7 +372,8 @@ class Instance:
         The resource-time demanded from shared resource *resource*;
         ``resource_work(0) == total_work()`` for ``k == 1``.
         """
-        return self._work_sums()[1][resource]
+        table = self.job_table()
+        return Fraction(table.resource_sums[resource], table.resource_den)
 
     def work_lower_bound(self) -> int:
         """Observation 1, per resource: ``max_l ceil(W_l)`` steps.
@@ -391,7 +382,8 @@ class Instance:
         resource lower-bounds the makespan.  For ``k == 1`` this is
         exactly the paper's ``ceil(total work)`` bound.
         """
-        return max(frac_ceil(work) for work in self._work_sums()[1])
+        table = self.job_table()
+        return -(-max(table.resource_sums) // table.resource_den)
 
     def makespan_lower_bound(self) -> int:
         """A makespan lower bound that accounts for release times.
@@ -434,10 +426,8 @@ class Instance:
     # Integer grid
     # ------------------------------------------------------------------
     def resource_denominator(self) -> int:
-        """Least common denominator of all requirement components (>= 1)."""
-        return math.lcm(
-            *(r.denominator for queue in self._queues for job in queue for r in job.requirements)
-        )
+        """``D``, the least common denominator of all requirement components."""
+        return self.job_table().req_den
 
     def to_integer_grid(self) -> tuple[list[list[int]], int]:
         """Express all requirements as integers over a common grid.
@@ -447,15 +437,12 @@ class Instance:
         resource capacity becomes ``D`` units.  Algorithms that only
         add and compare requirements can then run in pure integer
         arithmetic.  Single-resource only (the integer fast paths
-        model the paper's scalar requirements).
+        model the paper's scalar requirements).  A read of
+        :meth:`job_table`.
         """
         self.require_single_resource("to_integer_grid")
-        d = self.resource_denominator()
-        units = [
-            [job.requirement.numerator * (d // job.requirement.denominator) for job in queue]
-            for queue in self._queues
-        ]
-        return units, d
+        table = self.job_table()
+        return table.queues(table.rstar), table.req_den
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -605,7 +592,7 @@ class Instance:
         m = len(self._queues)
         grown = Instance.__new__(Instance)
         grown._k = self._k
-        grown._sums = None
+        grown._table = None
         if processor == m:
             rel = 0 if release is None else whole_step(release, "release times")
             if rel < 0:
@@ -653,9 +640,10 @@ class Instance:
                 f"with_order got {len(orders)} rows for "
                 f"{self.num_processors} processors"
             )
-        queues = []
+        queues, rows = [], []
         for i, queue in enumerate(self._queues):
             order = [int(j) for j in orders[i]]
+            rows.append(order)
             if sorted(order) != list(range(len(queue))):
                 raise InvalidInstanceError(
                     f"with_order row {i} = {order} is not a permutation "
@@ -663,7 +651,8 @@ class Instance:
                 )
             queues.append(tuple(queue[j] for j in order))
         permuted = Instance(queues, releases=self._releases)
-        permuted._sums = self._sums
+        if self._table is not None:
+            permuted._table = self._table.permuted(rows)
         return permuted
 
     @classmethod
@@ -718,7 +707,7 @@ class Instance:
 
     def __setstate__(self, state: tuple) -> None:
         self._queues, self._releases, self._k = state
-        self._sums = None
+        self._table = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         rows = ", ".join(

@@ -130,8 +130,9 @@ class Job:
     #: equality/hash.
     requirement: Fraction = field(compare=False)
     #: Memoized :func:`hash` -- ``Fraction`` hashing is slow and the
-    #: same ``Job`` objects recur in every job table built over them
-    #: (:class:`~repro.backends.vector.JobBag` keys its rows by job).
+    #: same ``Job`` objects recur in hashed keys: certification's
+    #: value keys and ``Instance.same_bag``'s counts (the job tables key
+    #: their rows by integers instead, see :mod:`repro.core.table`).
     _hash: int | None = field(compare=False, repr=False)
 
     def __init__(

@@ -510,20 +510,28 @@ class GridRuntime(ExactRuntime):
     """:class:`ExactRuntime` over a :class:`~repro.core.state.GridState`.
 
     Shares are ints in units of ``1/D``; no checkpoints (``kind`` is None).
+    The runtime keeps every share row the policy returned, in step order,
+    in :attr:`rows`: the input of a replay or a ``Schedule``, with no
+    observer attached.
     """
 
     kind = None
 
-    def __init__(self, instance: Instance, grid) -> None:
+    __slots__ = ("rows",)
+
+    def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        self.state = GridState(instance, grid)
+        self.state = GridState(instance)
         self.last = _ExactStep(self.state)
+        self.rows: list[tuple[int, ...]] = []
         self._m = instance.num_processors
         self._k = 1
 
     def query(self, policy) -> tuple[int, ...]:
-        """Ask *policy* for its share vector in grid units."""
-        return tuple(policy(self.state))
+        """Ask *policy* for its share vector in grid units; keep it in :attr:`rows`."""
+        shares = tuple(policy(self.state))
+        self.rows.append(shares)
+        return shares
 
     def check(self, shares: Sequence[int]) -> None:
         """The integer mirror of :func:`check_share_vector`."""

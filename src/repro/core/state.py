@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from ..exceptions import CheckpointError
+from ..exceptions import CheckpointError, InvalidInstanceError
 from .instance import Instance
 from .job import JobId
 from .numerics import ONE, ZERO, to_frac
 
-__all__ = ["ExecState", "GridState", "StepOutcome", "Configuration", "grid_units"]
+__all__ = ["ExecState", "GridState", "StepOutcome", "Configuration"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -456,38 +456,32 @@ class ExecState:
         return active, processed, count, progressed or count > 0
 
 
-def grid_units(instance: Instance) -> tuple[list[list[int]], list[list[int]], int] | None:
-    """``(requirement units, work units, D)`` of *instance*, or None off the grid.
-
-    The grid is :meth:`Instance.to_integer_grid`'s; a general-size job's
-    work need not be a whole number of its ``1/D`` units.
-    """
-    units, d = instance.to_integer_grid()
-    works = []
-    for queue, row in zip(instance.queues, units):
-        works.append([])
-        for job, unit in zip(queue, row):
-            size = job.size
-            work, off_grid = divmod(unit * size.numerator, size.denominator)
-            if off_grid:
-                return None
-            works[-1].append(work)
-    return units, works, d
-
-
 class GridState(ExecState):
     """:class:`ExecState` in integer units of ``1/D`` (k=1).
 
-    *grid* is :func:`grid_units`'.  Work, requirements, shares and
-    :attr:`capacity` (``D``) are ints, so the inherited step rule and
-    water-fill run exactly without ``Fraction``.
+    The units are the instance's job table
+    (:meth:`~repro.core.instance.Instance.job_table`).  Work,
+    requirements, shares and :attr:`capacity` (``D``) are ints, so the
+    inherited step rule and water-fill run exactly without ``Fraction``.
+
+    Raises:
+        InvalidInstanceError: unless ``k == 1`` and every work is a
+            whole number of ``1/D`` units (the table is on the grid).
     """
 
     __slots__ = ("capacity", "_units", "_works")
     zero = 0
 
-    def __init__(self, instance: Instance, grid) -> None:
-        self._units, self._works, self.capacity = grid
+    def __init__(self, instance: Instance) -> None:
+        table = instance.job_table()
+        if instance.num_resources != 1 or not table.on_grid:
+            raise InvalidInstanceError(
+                "the integer grid state needs k=1 and every work a whole "
+                f"number of 1/{table.req_den} units"
+            )
+        self._units = table.queues(table.rstar)
+        self._works = table.queues(table.works)
+        self.capacity = table.req_den
         super().__init__(instance)
 
     def requirement(self, processor: int) -> int:

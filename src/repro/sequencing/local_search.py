@@ -371,7 +371,7 @@ class LocalSearchSequencer(Sequencer):
             "cache_hits": 0,
             "kernel_runs": 0,
         }
-        start = self._start = tuple(bag.ids(q) for q in instance.queues)
+        start = self._start = bag.add(instance)
         best_queues = [list(q) for q in start]
         (best_value,) = self._evaluate_many([start])
         c["evaluations"] += 1

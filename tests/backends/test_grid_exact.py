@@ -32,7 +32,6 @@ from repro.backends import ExactBackend
 from repro.core import Instance, Job
 from repro.core.kernel import GridRuntime
 from repro.core.simulator import simulate
-from repro.core.state import grid_units
 from repro.exceptions import InfeasibleAssignmentError
 from repro.experiments.ablation import GreedyBalanceSmallTie
 from repro.generators import uniform_instance
@@ -115,14 +114,14 @@ class TestGridAgreesWithFraction:
         instance = data.draw(instances())
         policy = data.draw(st.sampled_from(POLICIES))
         _assert_agrees(instance, policy)
-        on_grid = grid_units(instance) is not None
+        on_grid = instance.job_table().on_grid
         # Off-grid works fall back to simulate; on-grid runs never call it.
         assert (len(simulate_calls) == 0) == on_grid
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(instance=instances(unit_only=True))
     def test_unit_size_instances_stay_on_the_grid(self, instance):
-        assert grid_units(instance) is not None
+        assert instance.job_table().on_grid
         for policy in (GreedyBalance(), get_policy("round-robin")):
             _assert_agrees(instance, policy)
 
@@ -133,7 +132,7 @@ class TestGridAgreesWithFraction:
 
     def test_off_grid_work_falls_back(self, simulate_calls):
         instance = Instance([[Job("1/2", "1/3")], [Job("1/4")]])
-        assert grid_units(instance) is None
+        assert not instance.job_table().on_grid
         _assert_agrees(instance, GreedyBalance())
         assert simulate_calls
 
@@ -187,8 +186,10 @@ class TestGridCheck:
 
     def test_grid_units_scale_by_the_common_denominator(self):
         instance = Instance([[Job("1/2", 3), Job("1/6")], [Job("2/3", "1/2")]])
-        assert grid_units(instance) == ([[3, 1], [4]], [[9, 1], [2]], 6)
-        state = GridRuntime(instance, grid_units(instance)).state
+        table = instance.job_table()
+        grid = (table.queues(table.rstar), table.queues(table.works), table.req_den)
+        assert grid == ([[3, 1], [4]], [[9, 1], [2]], 6)
+        state = GridRuntime(instance).state
         assert (state.capacity, state.remaining, state.requirement(1)) == (6, [9, 2], 4)
 
 
@@ -201,7 +202,7 @@ class TestCertificates:
             instance = instance.with_weights([[1, 2, 3], [3, 1, 2]])
         kwargs = dict(policy="greedy-balance", backend="exact", objective=objective)
         grid = certify_opt(instance, **kwargs)
-        monkeypatch.setattr(exact_mod, "grid_units", lambda _instance: None)
+        monkeypatch.setattr(exact_mod, "_runs_on_grid", lambda _instance, _policy: False)
         fraction = certify_opt(instance, **kwargs)
         assert grid == fraction  # every field but ``seconds``
         assert grid.summary() | {"seconds": 0} == fraction.summary() | {"seconds": 0}

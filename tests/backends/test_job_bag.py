@@ -16,8 +16,8 @@ from repro.generators import bag_instance, uniform_instance, with_resources
 
 def test_equal_jobs_share_a_row():
     bag = JobBag()
-    assert bag.ids([Job("1/2"), Job("1/3"), Job("1/2")]) == (0, 1, 0)
-    assert bag.ids([Job("1/3", weight=2)]) == (2,)
+    assert bag.add(Instance([[Job("1/2"), Job("1/3"), Job("1/2")]])) == ((0, 1, 0),)
+    assert bag.add(Instance([[Job("1/3", weight=2)]])) == ((2,),)
     assert len(bag.jobs) == 3
 
 

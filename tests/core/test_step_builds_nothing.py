@@ -4,7 +4,8 @@ A :class:`~repro.core.kernel.StepEvent` is built only for observers
 that override ``on_step``, and the kernel's runtimes never build a
 :class:`~repro.core.state.StepOutcome` (the validators' report).  The
 counts here are exact: every construction of either class is counted
-while a campaign row, a bare vector run and a service stream execute.
+while a campaign row, a bare vector run, a service stream, an exact
+grid run and a certification execute.
 A second check measures, with ``tracemalloc`` in a fresh process, the
 traced-memory peak of each step on a fixed run.
 """
@@ -20,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import get_policy
-from repro.backends import BatchRunner
+from repro.analysis.certify import certify_opt
+from repro.backends import BatchRunner, ExactBackend
 from repro.backends.vector import VectorBackend, VectorRuntime
 from repro.core.kernel import StepEvent, StepObserver, run_kernel
 from repro.core.simulator import simulate
@@ -72,6 +74,20 @@ def test_service_stream_builds_nothing(built):
         service.submit(event)
     service.drain()
     assert service.completed == 40
+    assert built == {StepEvent: 0, StepOutcome: 0}
+
+
+def test_exact_grid_run_without_shares_builds_nothing(built):
+    inst = _instance(1)
+    assert inst.job_table().on_grid
+    result = ExactBackend().run(inst, "greedy-balance", record_shares=False)
+    assert len(result.completion_steps) == inst.total_jobs
+    assert built == {StepEvent: 0, StepOutcome: 0}
+
+
+def test_certification_builds_nothing(built):
+    cert = certify_opt(uniform_instance(2, 3, seed=4), policy="greedy-balance", backend="exact")
+    assert cert.proved and cert.leaf_evaluations > 0
     assert built == {StepEvent: 0, StepOutcome: 0}
 
 

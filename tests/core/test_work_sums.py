@@ -1,9 +1,10 @@
-"""The instance's cached work sums against a fresh ``product_sum``.
+"""The instance's work sums against a fresh ``product_sum``.
 
-``Instance`` sums its per-resource work once, lazily, and hands the
-sums to ``with_order`` copies; ``total_work``, ``resource_work``, the
-lower bounds and ``default_step_limit`` read them.  The cache takes no
-part in equality, hashing or pickling.
+``Instance`` sums its per-resource work once, in integers, when it
+builds its job table, and ``with_order`` copies gather the table with
+the sums; ``total_work``, ``resource_work``, the lower bounds and
+``default_step_limit`` read them.  The table takes no part in
+equality, hashing or pickling.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def test_cached_sums_match_product_sum(inst, data):
     assert_sums(inst)  # the second read comes from the cache
     orders = [data.draw(st.permutations(range(inst.num_jobs(i)))) for i in range(inst.m)]
     permuted = inst.with_order(orders)
-    assert permuted._sums is inst._sums  # handed over, not re-summed
+    assert permuted._table.resource_sums is inst._table.resource_sums  # handed over
     assert_sums(permuted)
     assert_sums(inst.append_job(inst.job(0, 0), 0))
 
@@ -72,8 +73,8 @@ def test_cache_left_out_of_equality_hashing_and_pickling():
     inst = Instance([["1/2", "1/3"], ["3/4"]], releases=[0, 2])
     twin = Instance([["1/2", "1/3"], ["3/4"]], releases=[0, 2])
     inst.total_work()
-    assert inst._sums is not None and twin._sums is None
+    assert inst._table is not None and twin._table is None
     assert inst == twin and hash(inst) == hash(twin)
     copy = pickle.loads(pickle.dumps(inst))
-    assert copy == inst and copy._sums is None
+    assert copy == inst and copy._table is None
     assert copy.total_work() == inst.total_work()

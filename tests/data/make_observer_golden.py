@@ -34,7 +34,6 @@ from repro.algorithms.base import WaterFillPolicy
 from repro.backends.vector import VectorRuntime
 from repro.core.instance import Instance
 from repro.core.kernel import ExactRuntime, GridRuntime, StepObserver, run_kernel
-from repro.core.state import grid_units
 from repro.generators import (
     multi_resource_instance,
     uniform_instance,
@@ -150,7 +149,7 @@ def make_runtime(kind: str, instance: Instance):
     if kind == "vector":
         return VectorRuntime(instance)
     if kind == "grid":
-        return GridRuntime(instance, grid_units(instance))
+        return GridRuntime(instance)
     return ExactRuntime(instance)
 
 

@@ -10,6 +10,7 @@ import repro.service.engine as engine
 from repro.backends.vector import VectorState
 from repro.core import Instance, Job
 from repro.core.state import ExecState
+from repro.core.table import JobTable
 from repro.exceptions import ServiceError
 from repro.service import (
     ArrivalEvent,
@@ -123,11 +124,11 @@ class TestMatchesCheckpointOracle:
         assert logs[0] == logs[1]
 
 
-def _counting(monkeypatch, owner, name, counts):
+def _counting(monkeypatch, owner, name, counts, key=None):
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        counts[name] += 1
+        counts[key or name] += 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -155,6 +156,7 @@ class TestPerEventCost:
                 "restore_runtime",
                 "default_step_limit",
                 "__init__",
+                "job_table_builds",
             )
         }
         for module in (engine, checkpoint):
@@ -164,6 +166,8 @@ class TestPerEventCost:
             _counting(monkeypatch, module, "default_step_limit", counts)
         for cls in (VectorState, ExecState, Instance):
             _counting(monkeypatch, cls, "__init__", counts)
+        # The grown instances get no job table: extend converts only the new job.
+        _counting(monkeypatch, JobTable, "__init__", counts, "job_table_builds")
         for event in events[1:]:
             svc.submit(event)
         assert svc.report().num_queues == 4
