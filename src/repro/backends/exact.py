@@ -102,8 +102,6 @@ class ExactBackend(Backend):
         return BackendResult(
             backend=self.name,
             makespan=makespan,
-            shares=None,
-            processed=None,
             completion_steps=completion_steps,
             instance=instance,
         )

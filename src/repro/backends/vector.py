@@ -54,7 +54,8 @@ class JobTableState:
     :class:`VectorState` and
     :class:`~repro.backends.batched.BatchVectorState` hold their jobs
     as one block each (a single state is the ``B == 1`` case).  The
-    padded job table of :func:`job_tables` is ``(F, ..., m, n + 1)``;
+    padded job table (:func:`job_tables`; for one lane, the instance's
+    :meth:`~repro.core.table.JobTable.floats`) is ``(F, ..., m, n + 1)``;
     the active jobs' fields are the ``(F, ..., m)`` block ``_active``.
     Both have ``F`` rows: requirement, work, weight, deadline, then
     the ``k`` per-resource requirements when ``k > 1``.
@@ -73,8 +74,8 @@ class JobTableState:
     def _start_views(self, table: np.ndarray) -> None:
         """Give a fresh state its table, counters and first jobs' active block.
 
-        *table* is the C-contiguous block of :func:`job_tables` for
-        this state's lanes (the flat views must alias it).  Processors
+        *table* is the C-contiguous padded job table of this state's
+        lanes (the flat views must alias it; it may be read-only).  Processors
         not released at step 0 stay masked -- the sentinel's empty job
         -- until :meth:`begin_step` unmasks them.
         """
@@ -375,11 +376,13 @@ class VectorState(JobTableState):
     def extend(self, instance: Instance, processor: int) -> None:
         """Adopt *instance*: this state's instance plus one job on *processor*.
 
-        Writes only the new job's column into the padded table, which
-        doubles its width when the job would take a queue's last
-        column, so every queue keeps its sentinel (see
-        :func:`job_tables`); a new processor adds one lane, released at
-        its release time like the lanes of a fresh state.  The
+        Converts only the new job (:func:`~repro.core.table.job_column`)
+        and writes its column into the state's own copy of the padded
+        table, which doubles its width when the job would take a
+        queue's last column, so every queue keeps its sentinel (see
+        :func:`job_tables`); *instance* gets no job table.  A new
+        processor adds one lane, released at its release time like the
+        lanes of a fresh state.  The
         resulting state equals a checkpoint of this state restored
         into *instance*, including its known defect: on a queue that
         had already drained, the active block loads the new job but
@@ -603,9 +606,9 @@ def job_tables(instances) -> tuple:
     for the batch maxima ``m``, ``n`` and ``k`` -- a :class:`JobBag` of
     the jobs, then one gather of its rows.  Its ``F`` field rows are
     requirement (the bottleneck ``r*``), work, weight and deadline,
-    then, when ``k > 1``, the ``k`` per-resource requirements.  The one
-    table layout of :class:`VectorState` (``B == 1``) and
-    :class:`~repro.backends.batched.BatchVectorState`.
+    then, when ``k > 1``, the ``k`` per-resource requirements: the
+    layout of :meth:`~repro.core.table.JobTable.floats`, which
+    :class:`VectorState` (``B == 1``) reads directly.
 
     Sentinel contract: every column from ``num_jobs[b, i]`` on -- at
     least one per queue -- holds the *empty job*: work 0, requirement

@@ -234,13 +234,8 @@ class Instance:
         return max(self._releases)
 
     def with_releases(self, releases: Sequence[int] | None) -> "Instance":
-        """A copy of this instance with the given release times.
-
-        The copy shares this instance's job table (releases are not in it).
-        """
-        copy = Instance(self._queues, releases=releases)
-        copy._table = self._table
-        return copy
+        """A copy of this instance with the given release times."""
+        return Instance(self._queues, releases=releases)
 
     def require_static(self, algorithm: str) -> None:
         """Reject instances with non-zero release times.
@@ -625,6 +620,7 @@ class Instance:
         processor *i*'s job indices in their new execution order --
         the order-permutation helper behind the static sequencing
         strategies.  ``with_order([range(n_i) ...])`` is the identity.
+        A built :meth:`job_table` is handed on, its rows gathered.
 
         Raises:
             InvalidInstanceError: if the row count mismatches or any
