@@ -31,13 +31,15 @@ float rows independently with the same tolerance.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 import numpy as np
 
 from ..core.instance import Instance
+from ..core.job import Job
 from ..core.kernel import AppliedStep, KernelRuntime, ShareRecorder, run_kernel
-from ..core.table import job_column, over_lcm
+from ..core.table import over_lcm
 from ..exceptions import (
     CheckpointError,
     InfeasibleAssignmentError,
@@ -376,8 +378,7 @@ class VectorState(JobTableState):
     def extend(self, instance: Instance, processor: int) -> None:
         """Adopt *instance*: this state's instance plus one job on *processor*.
 
-        Converts only the new job (:func:`~repro.core.table.job_column`)
-        and writes its column into the state's own copy of the padded
+        Converts only the new job (:func:`_job_column`) and writes its column into the state's own copy of the padded
         table, which doubles its width when the job would take a
         queue's last column, so every queue keeps its sentinel (see
         :func:`job_tables`); *instance* gets no job table.  A new
@@ -400,7 +401,7 @@ class VectorState(JobTableState):
             # The instance's cached rows: write into a copy of them.
             self._table = self._table.copy()
             self._bind_views()
-        self._table[:, i, j] = job_column(job, self.num_resources)
+        self._table[:, i, j] = _job_column(job, self.num_resources)
         self.num_jobs[i] = j + 1
         self._left += 1
         self.instance = instance
@@ -439,24 +440,46 @@ class VectorState(JobTableState):
         self._bind_views()
 
 
+def _job_column(job: Job, k: int) -> list[float]:
+    """*job*'s column of a ``k``-resource float job table.
+
+    Equal to its column in :meth:`~repro.core.table.JobTable.floats`:
+    both round each field's rational once.
+    """
+    req = float(job.requirement)
+    column = [req, req if job.size == 1 else float(job.work), float(job.weight)]
+    column.append(math.inf if job.deadline is None else float(job.deadline))
+    if k > 1:
+        column += [float(r) for r in job.requirements]
+    return column
+
+
+def _scaled(key: tuple, req: int, size: int, weight: int) -> tuple:
+    """A :meth:`~repro.core.table.JobTable.rows` key with its units multiplied."""
+    *reqs, s, w, deadline = key
+    return (*(r * req for r in reqs), s * size, w * weight, deadline)
+
+
 class JobBag:
     """The distinct jobs of a batch as rows of one float table.
 
     Each distinct job gets one row id, in first-seen order, keyed by its
     integer row of its instance's job table
-    (:meth:`~repro.core.table.JobTable.rows`) under that table's
-    denominators.  Equal jobs of one instance share an id, so id tuples
-    compare exactly as its queues do.  The table ends in the sentinel
-    column, id ``-1``: the empty job of :func:`job_tables`.
-    :meth:`select` makes a batch of row-id lanes, with no ``Instance``
-    or ``Job`` per lane.
+    (:meth:`~repro.core.table.JobTable.rows`) scaled to the bag's
+    common denominators, so equal jobs share an id (also across
+    instances on different grids) and id tuples compare exactly as
+    instance queues do.  The table ends in the sentinel column, id
+    ``-1``: the empty job of :func:`job_tables`.  :meth:`select` makes
+    a batch of row-id lanes, with no ``Instance`` or ``Job`` per lane.
     """
 
-    __slots__ = ("jobs", "_ids", "_rows", "_weights", "_table", "_weight_grid")
+    __slots__ = ("jobs", "_ids", "_dens", "_rows", "_weights", "_table", "_weight_grid")
 
     def __init__(self) -> None:
         self.jobs: list = []
-        self._ids: dict[tuple, dict[tuple, int]] = {}
+        self._ids: dict[tuple, int] = {}
+        # The keys' requirement, size and weight denominators.
+        self._dens = (1, 1, 1)
         # Per row: its float column (4 + k fields when k > 1) and its
         # weight as (numerator, denominator).
         self._rows: list[list[float]] = []
@@ -466,11 +489,18 @@ class JobBag:
     def add(self, instance: Instance) -> tuple[tuple[int, ...], ...]:
         """Per-queue row ids of *instance*'s jobs, adding the rows not seen yet."""
         table = instance.job_table()
-        ids = self._ids.setdefault(
-            (table.req_den, table.size_den, table.weight_den), {}
-        )
-        out, new = [], []
+        dens = (table.req_den, table.size_den, table.weight_den)
+        common = tuple(map(math.lcm, self._dens, dens))
+        if common != self._dens:  # a finer grid: rescale the keys seen so far
+            up = [c // d for c, d in zip(common, self._dens)]
+            self._ids = {_scaled(key, *up): row for key, row in self._ids.items()}
+            self._dens = common
         keys = table.rows()
+        if common != dens:
+            up = [c // d for c, d in zip(common, dens)]
+            keys = (_scaled(key, *up) for key in keys)
+        ids = self._ids
+        out, new = [], []
         for i, n in enumerate(table.lengths):
             queue = []
             for j, key in zip(range(n), keys):
@@ -478,7 +508,7 @@ class JobBag:
                 if row is None:
                     row = ids[key] = len(self.jobs)
                     self.jobs.append(instance.job(i, j))
-                    self._weights.append((key[-2], table.weight_den))
+                    self._weights.append((key[-2], common[2]))
                     new.append((i, j))
                 queue.append(row)
             out.append(tuple(queue))

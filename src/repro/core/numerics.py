@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "Num",
@@ -43,6 +43,8 @@ __all__ = [
     "frac_sum",
     "product_sum",
     "sum_by_denominator",
+    "common_denominator",
+    "quantize",
     "as_float",
     "format_frac",
     "parse_frac",
@@ -144,6 +146,43 @@ def sum_by_denominator(by_den: dict[int, int]) -> Fraction:
     """
     d = math.lcm(*by_den)
     return Fraction(sum(p * (d // q) for q, p in by_den.items()), d)
+
+
+def common_denominator(values: Iterable[Num]) -> int:
+    """Least common denominator of the given rationals (>= 1).
+
+    Used to map an instance onto an exact integer grid (see
+    :meth:`repro.core.instance.Instance.to_integer_grid`), which turns
+    all scheduling arithmetic into integer arithmetic.
+    """
+    lcm = 1
+    for v in values:
+        lcm = math.lcm(lcm, to_frac(v).denominator)
+    return lcm
+
+
+def quantize(values: Sequence[Num], denominator: int | None = None) -> tuple[list[int], int]:
+    """Scale *values* onto an integer grid.
+
+    Returns ``(units, D)`` such that ``values[k] == units[k] / D``
+    exactly.  If *denominator* is given it must be a common multiple of
+    all value denominators; otherwise the least common denominator is
+    used.
+
+    Raises:
+        ValueError: if *denominator* is not a common multiple.
+    """
+    fracs = to_frac_seq(values)
+    lcd = common_denominator(fracs)
+    if denominator is None:
+        denominator = lcd
+    elif denominator % lcd != 0:
+        raise ValueError(
+            f"denominator {denominator} is not a common multiple of the "
+            f"value denominators (need a multiple of {lcd})"
+        )
+    units = [int(f * denominator) for f in fracs]
+    return units, denominator
 
 
 def as_float(x: Num) -> float:

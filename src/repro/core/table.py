@@ -22,21 +22,17 @@ import numpy as np
 
 from .job import Job
 
-__all__ = ["JobTable", "job_column", "over_lcm"]
+__all__ = ["JobTable", "over_lcm"]
 
 #: float64 holds every integer below this exactly.
 _EXACT = 2**53
-_NUM, _DEN = itemgetter(0), itemgetter(1)
+_DEN = itemgetter(1)
 
 
 def over_lcm(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
     """``(numerators, d)`` of the ``(p, q)`` ratios over their lcm ``d``."""
-    dens = set(map(_DEN, ratios))
-    den = math.lcm(*dens)
-    if len(dens) == 1:
-        return list(map(_NUM, ratios)), den
-    scale = {q: den // q for q in dens}
-    return [p * scale[q] for p, q in ratios], den
+    den = math.lcm(*map(_DEN, ratios))
+    return [p * (den // q) for p, q in ratios], den
 
 
 class JobTable:
@@ -148,9 +144,9 @@ class JobTable:
                      "work_sum", "resource_sums", "resource_den"):
             setattr(out, name, getattr(self, name))
         out.reqs = tuple(map(take, self.reqs))
-        out.rstar = out.reqs[0] if self.rstar is self.reqs[0] else take(self.rstar)
-        out.works = out.rstar if self.works is self.rstar else take(self.works)
-        out.sizes, out.weights, out.deadlines = map(take, (self.sizes, self.weights, self.deadlines))
+        out.rstar, out.works, out.sizes, out.weights, out.deadlines = map(
+            take, (self.rstar, self.works, self.sizes, self.weights, self.deadlines)
+        )
         out._floats = None
         return out
 
@@ -174,7 +170,7 @@ class JobTable:
             exact = max(dens) < _EXACT and max(map(max, nums)) < _EXACT
             nums.insert(3, [math.inf if x is None else float(x) for x in self.deadlines])
             dens.insert(3, 1)
-            if exact and len(self.rstar) > 64:
+            if exact:
                 # Exact operands: one IEEE division rounds like int / int.
                 rows = np.array(nums, dtype=np.float64)
                 rows /= np.array(dens, dtype=np.float64)[:, None]
@@ -184,30 +180,9 @@ class JobTable:
             width = max(lengths) + 1
             table = np.zeros((len(rows), len(lengths), width))
             table[3] = math.inf
-            if min(lengths) + 1 == width:  # equal queues: one block
-                table[:, :, :-1] = rows.reshape(len(rows), len(lengths), width - 1)
-            else:  # job j of queue i lands at flat column i * width + j
-                ends = np.cumsum(lengths)
-                at = np.arange(ends[-1]) + np.repeat(
-                    np.arange(len(lengths)) * width - (ends - lengths), lengths
-                )
-                table.reshape(len(rows), -1)[:, at] = rows
+            # Queue i's jobs fill its first lengths[i] columns, in order.
+            table[:, np.arange(width) < np.array(lengths)[:, None]] = rows
             table.flags.writeable = False
             self._floats = table
         return table
 
-
-def job_column(job: Job, k: int) -> list[float]:
-    """*job*'s column of the ``F``-row float table of a ``k``-resource instance.
-
-    Equal to the column :meth:`JobTable.floats` gives the job in any
-    table: both round each field's rational once.  Growing a run by one
-    job converts only that job this way.
-    """
-    req = float(job.requirement)
-    work = req if job.size == 1 else float(job.work)
-    column = [req, work, float(job.weight)]
-    column.append(math.inf if job.deadline is None else float(job.deadline))
-    if k > 1:
-        column += [float(r) for r in job.requirements]
-    return column

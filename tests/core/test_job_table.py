@@ -23,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.certify import certify_opt
-from repro.backends.vector import JobBag, VectorState
+from repro.backends.vector import JobBag, VectorState, _job_column
 from repro.core import Instance, Job
 from repro.core.numerics import frac_ceil
-from repro.core.table import JobTable, job_column
+from repro.core.table import JobTable
 from repro.generators import uniform_instance
 
 from . import frozen_converters as frozen
@@ -80,9 +80,9 @@ def jobs(draw, k, small=False):
 def instances(draw, large=False):
     k = draw(st.sampled_from([1, 2, 3]))
     if large:
-        # Over 64 jobs, dealt from a drawn palette: on small grids the
-        # table divides in one float64 array, and one big denominator
-        # sends it to int division.
+        # Many equal jobs in ragged queues, dealt from a drawn palette:
+        # on small grids the table divides in one float64 array, and one
+        # big denominator sends it to int division.
         palette = draw(st.lists(jobs(k, small=draw(st.booleans())), min_size=1, max_size=8))
         rng = random.Random(draw(st.integers(0, 2**32)))
         m = rng.randint(10, 16)
@@ -125,7 +125,7 @@ def test_table_matches_the_frozen_converters(inst):
     assert floats.tobytes() == reference.tobytes()  # bitwise, signs of zero too
     assert not floats.flags.writeable
     for (i, j), job in inst.jobs():
-        column = job_column(job, inst.num_resources)
+        column = _job_column(job, inst.num_resources)
         assert np.array(column).tobytes() == reference[:, i, j].tobytes()
     assert inst.resource_denominator() == frozen.resource_denominator(inst)
     total, per_resource = frozen.work_sums(inst)
@@ -147,11 +147,8 @@ def test_bag_rows_and_weight_column_match_the_frozen_bag(lanes):
     bag = JobBag()
     ids = [bag.add(inst) for inst in lanes]
     jobs, reference = frozen.bag_ids(lanes)
-    tables = [inst.job_table() for inst in lanes]
-    if len({(t.req_den, t.size_den, t.weight_den) for t in tables}) == 1:
-        # One set of denominators: rows are keyed exactly as jobs are.
-        assert ids == reference and bag.jobs == jobs
-    # Whatever the keys, each id names an equal job and its float column.
+    # Rows are keyed exactly as jobs are, whatever each lane's grid.
+    assert ids == reference and bag.jobs == jobs
     table = bag.table(k)
     for inst, lane in zip(lanes, ids):
         for (i, j), job in inst.jobs():
@@ -212,6 +209,16 @@ def test_a_large_table_past_2_53_divides_in_ints():
 def test_zero_requirement_jobs_of_different_sizes_keep_their_own_rows():
     bag = JobBag()
     assert bag.add(Instance([[Job(0, 2), Job(0, 3), Job(0, 2)]])) == ((0, 1, 0),)
+
+
+def test_equal_jobs_on_different_grids_share_a_row():
+    bag = JobBag()
+    coarse = Instance([[Job("1/2", weight="1/2"), Job("3/50")]])  # D = 50
+    fine = Instance([[Job("1/100", 2), Job("3/50"), Job("1/2", weight="1/2")]])  # D = 100
+    assert bag.add(coarse) == ((0, 1),)
+    assert bag.add(fine) == ((2, 1, 0),)
+    assert bag.add(coarse) == ((0, 1),)
+    assert bag.jobs == [Job("1/2", weight="1/2"), Job("3/50"), Job("1/100", 2)]
 
 
 def test_vector_state_writes_into_its_own_copy():

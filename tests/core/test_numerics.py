@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import Instance
 from repro.core.numerics import (
     clamp01,
+    common_denominator,
     format_frac,
     frac_ceil,
     frac_floor,
@@ -17,10 +17,10 @@ from repro.core.numerics import (
     is_share,
     parse_frac,
     product_sum,
+    quantize,
     to_frac,
     to_frac_seq,
 )
-from repro.core.table import over_lcm
 
 
 class TestToFrac:
@@ -111,23 +111,29 @@ class TestProductSum:
 
 
 class TestGrid:
-    """The integer grid is read off the job table (``repro.core.table``)."""
-
     def test_common_denominator(self):
-        assert Instance([["1/2", "1/3"]]).resource_denominator() == 6
+        assert common_denominator(["1/2", "1/3"]) == 6
 
     def test_common_denominator_empty(self):
-        assert over_lcm([]) == ([], 1)
+        assert common_denominator([]) == 1
 
     def test_quantize_default(self):
-        units, den = Instance([["1/2", "1/3"]]).to_integer_grid()
+        units, den = quantize(["1/2", "1/3"])
         assert den == 6
-        assert units == [[3, 2]]
+        assert units == [3, 2]
+
+    def test_quantize_custom_denominator(self):
+        units, den = quantize(["1/2"], denominator=10)
+        assert units == [5] and den == 10
+
+    def test_quantize_rejects_bad_denominator(self):
+        with pytest.raises(ValueError):
+            quantize(["1/3"], denominator=10)
 
     @given(st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=6))
     def test_quantize_roundtrip(self, values):
-        units, den = over_lcm([v.as_integer_ratio() for v in values])
-        assert [Fraction(u, den) for u in units] == values
+        units, den = quantize(values)
+        assert [Fraction(u, den) for u in units] == [Fraction(v) for v in values]
 
 
 class TestFormatting:
