@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from ..exceptions import BackendError
 from ..telemetry import get_session
@@ -97,7 +97,8 @@ class BackendResult:
             rows, the vector backend float64 rows.
         processed: per-step work actually processed (same shape and
             recording rule as ``shares``).
-        completion_steps: 0-based completion step per job id ``(i, j)``.
+        completion_steps: 0-based completion step per job id ``(i, j)``;
+            given as a zero-argument callable, it is built on first read.
         schedule: the validated exact :class:`Schedule` artifact
             (exact backend only; ``None`` for float backends and for
             exact integer-grid runs that record no shares).
@@ -115,10 +116,22 @@ class BackendResult:
     makespan: int
     shares: Sequence[Sequence[Any]] | None = None
     processed: Sequence[Sequence[Any]] | None = None
-    completion_steps: dict[tuple[int, int], int] = field(default_factory=dict)
+    completion_steps: InitVar[
+        "dict[tuple[int, int], int] | Callable[[], dict[tuple[int, int], int]] | None"
+    ] = None
     schedule: "Schedule | None" = None
     instance: "Instance | None" = None
     objective_values: dict[str, Any] = field(default_factory=dict)
+    _completions: Any = field(default=None, init=False, repr=False)
+
+    def __post_init__(self, completion_steps) -> None:
+        self._completions = {} if completion_steps is None else completion_steps
+
+    def _read_completions(self) -> dict[tuple[int, int], int]:
+        """0-based completion step per job id (see the class docstring)."""
+        if callable(self._completions):
+            self._completions = self._completions()
+        return self._completions
 
     def share_rows(self) -> list[tuple[Any, ...]]:
         """The recorded share matrix as a list of row tuples.
@@ -132,6 +145,9 @@ class BackendResult:
                 "share rows were not recorded (run with record_shares=True)"
             )
         return [tuple(row) for row in self.shares]
+
+
+BackendResult.completion_steps = property(BackendResult._read_completions)  # type: ignore
 
 
 class Backend(ABC):

@@ -143,11 +143,6 @@ class JobTableState:
         return self.done < self.num_jobs
 
     @property
-    def released_mask(self) -> np.ndarray:
-        """Mask of processors whose release time has arrived."""
-        return self._released.copy()
-
-    @property
     def jobs_remaining(self) -> np.ndarray:
         """``n_i(t)`` for every processor, as an int64 array."""
         return self.num_jobs - self.done
@@ -920,17 +915,19 @@ class VectorBackend(Backend):
             )
             if span is not None:
                 span.note(makespan=makespan)
-        completion_steps = runtime.state.completion_steps()
-        return BackendResult(
+        result = BackendResult(
             backend=self.name,
             makespan=makespan,
             shares=np.array(recorder.shares) if recorder is not None else None,
             processed=(
                 np.array(recorder.processed) if recorder is not None else None
             ),
-            completion_steps=completion_steps,
+            # Built on first read: campaign rows without objectives never read it.
+            completion_steps=runtime.state.completion_steps,
             instance=instance,
-            objective_values=self._objective_values(
-                instance, objectives, completion_steps, makespan
-            ),
         )
+        if objectives:
+            result.objective_values = self._objective_values(
+                instance, objectives, result.completion_steps, makespan
+            )
+        return result

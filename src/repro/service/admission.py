@@ -24,7 +24,8 @@ names raise :class:`~repro.exceptions.ServiceError` listing
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from typing import Any, Callable
 
 from ..core.job import Job
 from ..exceptions import ServiceError
@@ -51,7 +52,11 @@ class AdmissionContext:
         queue_backlog: full-speed steps of unfinished work already
             queued on ``queue_index`` (the candidate's wait bound).
         total_backlog: unfinished work (processing volume) across all
-            queues, as a float.
+            queues, as a float.  Given as a zero-argument callable, it
+            runs on the first read (read it inside ``admit``: afterwards
+            the service may have grown the run).  The service passes its
+            rescan of the unfinished jobs that way, so ``accept-all``,
+            which never reads it, never pays for the rescan.
         num_processors: current logical queue count of the service.
     """
 
@@ -59,8 +64,21 @@ class AdmissionContext:
     job: Job
     queue_index: int
     queue_backlog: float
-    total_backlog: float
+    total_backlog: InitVar["float | Callable[[], float]"]
     num_processors: int
+    _total: Any = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, total_backlog) -> None:
+        object.__setattr__(self, "_total", total_backlog)
+
+    def _read_total(self) -> float:
+        """Unfinished work across all queues (see the class docstring)."""
+        if callable(self._total):
+            object.__setattr__(self, "_total", self._total())
+        return self._total
+
+
+AdmissionContext.total_backlog = property(AdmissionContext._read_total)  # type: ignore
 
 
 class AdmissionPolicy(ABC):

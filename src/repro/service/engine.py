@@ -15,14 +15,19 @@ arrival events instead of re-simulating from ``t=0``:
    released at the arrival step), and the run continues exactly as a
    checkpoint restored into the grown instance would.
 
-The kernel's step limit is kept as running totals (job count, exact
-work per resource, latest release), so no event rescans the history:
-the cost of an event depends on the live backlog, not on how many jobs
-the service has seen.  ``benchmarks/bench_service.py`` gates this
-flatness: p99 submit latency at 8000 jobs stays within 1.5x of p99 at
-1000 jobs.  Checkpoints remain the persistence and replay format (the
-first arrival starts the run from one); they are off the per-event
-path.
+An event costs O(live queues) and rescans no job.  Exact int running
+totals grow once per admitted job: per queue, prefix sums of the jobs'
+full-speed steps (a backlog is the active job's term off the state
+plus a difference of two sums, the float a rescan gives); per shared
+resource, the admitted work over one common denominator (the kernel's
+step limit).  ``total_backlog`` is a float sum that a running total
+would round differently, so it is summed only when read
+(``utilization-cap`` and the ``service.backlog`` gauge do, ``accept-all``
+does not).  An arrival at the clock's own step enters no kernel.
+``benchmarks/bench_service.py`` gates the flatness: p99 submit latency
+at 8000 jobs stays within 1.5x of p99 at 1000 jobs.  Checkpoints remain
+the persistence and replay format (the first arrival starts the run
+from one); they are off the per-event path.
 
 Every decision lands in an event log replayable through
 :func:`replay_log`; :meth:`SchedulingService.report` summarizes
@@ -46,8 +51,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable
 
 from ..algorithms import get_policy
@@ -56,8 +60,7 @@ from ..core.checkpoint import checkpoint_run, restore_runtime
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.kernel import CompletionRecorder, ExactRuntime, run_kernel
-from ..core.numerics import frac_ceil
-from ..core.simulator import default_step_limit
+from ..core.simulator import default_step_limit  # noqa: F401  (perfbench patches it here)
 from ..exceptions import InvalidInstanceError, ServiceError
 from ..io.serialization import job_from_dict, job_to_dict
 from ..telemetry import get_session
@@ -131,21 +134,7 @@ class ServiceReport:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form (the ``crsharing serve`` report payload)."""
-        return {
-            "policy": self.policy,
-            "backend": self.backend,
-            "admission": self.admission,
-            "num_queues": self.num_queues,
-            "final_step": self.final_step,
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "dropped_events": self.dropped_events,
-            "total_work": self.total_work,
-            "utilization": self.utilization,
-            "latency_percentiles": dict(self.latency_percentiles),
-        }
+        return asdict(self)
 
     def render(self) -> str:
         """Human-readable multi-line report for the CLI."""
@@ -209,10 +198,11 @@ class SchedulingService:
         self.max_queues = int(max_queues)
         self._runtime = None
         self._recorder = _CompletionLog()
-        # Running terms of default_step_limit(instance): the job count
-        # is ``admitted``; exact admitted work per shared resource; the
-        # latest queue release.
-        self._resource_work: list[Fraction] = []
+        # Running totals kept by _count: per queue, step prefix sums; per
+        # resource, admitted work over _work_den; the latest release.
+        self._steps: list[list[int]] = []
+        self._work: list[int] = []
+        self._work_den = 1
         self._max_release = 0
         self._clock = 0
         self._closed = False
@@ -233,14 +223,19 @@ class SchedulingService:
 
     def _step_limit(self) -> int:
         """``default_step_limit`` of the live instance, from running totals."""
-        bound = max(frac_ceil(work) for work in self._resource_work)
+        bound = -(-max(self._work) // self._work_den)
         return 2 * (self.admitted + bound) + 16 + self._max_release
 
     def _advance(self, target: int) -> None:
-        """Step the live runtime forward to *target* (>= the clock)."""
-        if self._runtime is not None:
-            finished = run_kernel(
-                self._runtime,
+        """Step the live runtime forward to *target* (>= the clock).
+
+        The kernel is entered only when a step can run (not at the
+        clock's own step, not on a drained run).
+        """
+        runtime = self._runtime
+        if runtime is not None and target > self._clock:
+            finished = runtime.t if runtime.all_done else run_kernel(
+                runtime,
                 self._policy,
                 (self._recorder,),
                 max_steps=self._step_limit() + target + 16,
@@ -250,7 +245,7 @@ class SchedulingService:
                 # Drained before the event: jump the step counter over
                 # the idle gap, in which nothing runs (the precondition
                 # of KernelCheckpoint.at_step).
-                self._runtime.state.t = target
+                runtime.state.t = target
         self._clock = target
         self._log_new_completions()
 
@@ -266,27 +261,26 @@ class SchedulingService:
     # Placement / admission
     # ------------------------------------------------------------------
     def _queue_backlogs(self) -> list[float]:
-        """Full-speed steps of unfinished work per queue."""
-        if self._runtime is None:
-            return []
+        """Full-speed steps of unfinished work per queue (see the module docstring)."""
         state = self._runtime.state
+        done, remaining = state.done, state.remaining
+        if hasattr(done, "tolist"):  # the vector state's arrays
+            done, remaining = done.tolist(), remaining.tolist()
         backlogs: list[float] = []
-        for i, queue in enumerate(self._runtime.instance.queues):
-            done = int(state.done[i])
+        for sums, queue, d, left in zip(
+            self._steps, self._runtime.instance.queues, done, remaining
+        ):
             steps = 0.0
-            if done < len(queue):
-                active = queue[done]
-                bottleneck = float(active.requirement)
+            if d < len(sums) - 1:
+                bottleneck = float(queue[d].requirement)
                 if bottleneck > 0:
-                    steps += float(state.remaining[i]) / bottleneck
-                steps += sum(
-                    job.steps_at_full_speed() for job in queue[done + 1 :]
-                )
+                    steps += float(left) / bottleneck
+                steps += sums[-1] - sums[d + 1]
             backlogs.append(steps)
         return backlogs
 
     def _total_backlog(self) -> float:
-        """Unfinished processing volume across all queues."""
+        """Unfinished processing volume across all queues (a rescan)."""
         if self._runtime is None:
             return 0.0
         state = self._runtime.state
@@ -298,12 +292,6 @@ class SchedulingService:
                 total += sum(float(job.work) for job in queue[done + 1 :])
         return total
 
-    def _placement(self, backlogs: list[float]) -> int:
-        """The queue the next arrival would be appended to."""
-        if len(backlogs) < self.max_queues:
-            return len(backlogs)
-        return min(range(len(backlogs)), key=lambda i: (backlogs[i], i))
-
     def _extend(self, job: Job, queue_index: int, at: int) -> None:
         """Grow the live run by *job* on *queue_index* at step *at*."""
         if self._runtime is None:
@@ -312,17 +300,31 @@ class SchedulingService:
             instance = Instance([[job]], releases=[at])
             ckpt = checkpoint_run(self._new_runtime(instance))
             self._runtime = restore_runtime(ckpt.at_step(at))
-            self._resource_work = list(job.work_vector)
-            self._max_release = at
-            return
-        if queue_index == self._runtime.instance.num_processors:
+        elif queue_index == self._runtime.instance.num_processors:
             self._runtime.extend(job, queue_index, at)
-            self._max_release = max(self._max_release, at)
         else:
             self._runtime.extend(job, queue_index)
-        self._resource_work = [
-            total + work
-            for total, work in zip(self._resource_work, job.work_vector)
+
+    def _count(self, job: Job, queue_index: int, at: int) -> None:
+        """Add the admitted *job* to the running totals (rescaled onto a finer grid if needed).
+
+        Called by :meth:`submit`, not :meth:`_extend`, so a subclass
+        that grows the run another way keeps the totals.
+        """
+        p, q = job.size.as_integer_ratio()
+        steps = -(-p // q)
+        if queue_index == len(self._steps):
+            self._steps.append([0, steps])
+            self._max_release = max(self._max_release, at)
+        else:
+            sums = self._steps[queue_index]
+            sums.append(sums[-1] + steps)
+        ratios = [r.as_integer_ratio() for r in job.requirements]
+        den = math.lcm(self._work_den, *(d * q for _, d in ratios))
+        up, self._work_den = den // self._work_den, den
+        self._work = [
+            units * up + n * p * (den // (d * q))
+            for units, (n, d) in zip(self._work or [0] * len(ratios), ratios)
         ]
 
     # ------------------------------------------------------------------
@@ -354,17 +356,23 @@ class SchedulingService:
         self._advance(event.time)
         if session is not None:
             advanced = time.perf_counter()
-        backlogs = self._queue_backlogs()
-        queue_index = self._placement(backlogs)
+        # Below the cap the arrival opens a new, empty queue.
+        queues = len(self._steps)
+        queue_index, queue_backlog = queues, 0.0
+        if queues >= self.max_queues:
+            backlogs = self._queue_backlogs()
+            queue_index = min(range(queues), key=backlogs.__getitem__)
+            queue_backlog = backlogs[queue_index]
         ctx = AdmissionContext(
             time=event.time,
             job=event.job,
             queue_index=queue_index,
-            queue_backlog=(
-                backlogs[queue_index] if queue_index < len(backlogs) else 0.0
+            queue_backlog=queue_backlog,
+            # Summed when read; the gauge below reads it after _extend.
+            total_backlog=(
+                self._total_backlog if session is None else self._total_backlog()
             ),
-            total_backlog=self._total_backlog(),
-            num_processors=len(backlogs),
+            num_processors=queues,
         )
         if session is not None:
             placed = time.perf_counter()
@@ -373,6 +381,7 @@ class SchedulingService:
             decided = time.perf_counter()
         if decision:
             self._extend(event.job, queue_index, event.time)
+            self._count(event.job, queue_index, event.time)
             self.admitted += 1
         else:
             self.rejected += 1
@@ -421,12 +430,11 @@ class SchedulingService:
             raise ServiceError("service is closed (drain() already ran)")
         makespan = 0
         if self._runtime is not None:
-            limit = default_step_limit(self._runtime.instance) + self._clock + 16
             finished = run_kernel(
                 self._runtime,
                 self._policy,
                 (self._recorder,),
-                max_steps=limit,
+                max_steps=self._step_limit() + self._clock + 16,
             )
             makespan = finished if finished is not None else self._clock
             self._clock = max(self._clock, makespan)

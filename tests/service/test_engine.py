@@ -1,10 +1,13 @@
 """The event-driven scheduling engine (:mod:`repro.service.engine`)."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 import repro.core.checkpoint as checkpoint
+import repro.core.kernel as kernel
+import repro.core.numerics as numerics
 import repro.core.simulator as simulator
 import repro.service.engine as engine
 from repro.backends.vector import VectorState
@@ -172,6 +175,55 @@ class TestPerEventCost:
             svc.submit(event)
         assert svc.report().num_queues == 4
         assert counts == dict.fromkeys(counts, 0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_submit_reads_running_totals(self, backend):
+        """No per-job rescan, no exact work sum, no idle kernel entry.
+
+        Calls are counted by code object under a profile hook, so a
+        function is caught however the engine reaches it.
+        """
+        # An overloaded stream (queues build up behind their active job)
+        # with same-step arrivals, then an idle gap that drains every queue.
+        events = list(_stream(count=60, rate=4.0, seed=4))
+        assert len({event.time for event in events}) < len(events)
+        gap = events[-1].time + 200
+        events += [ArrivalEvent(gap, Job("1/3", 2)), ArrivalEvent(gap, Job("1/2"))]
+        svc = SchedulingService(backend=backend, max_queues=4)
+        svc.submit(events[0])
+        watched = {
+            "work_vector": Job.work_vector.fget,
+            "frac_ceil": numerics.frac_ceil,
+            "steps_at_full_speed": Job.steps_at_full_speed,
+            "_total_backlog": SchedulingService._total_backlog,
+            "run_kernel": kernel.run_kernel,
+        }
+        names = {fn.__code__: name for name, fn in watched.items()}
+        counts = dict.fromkeys(watched, 0)
+
+        def count(frame, what, _arg):
+            if what == "call" and frame.f_code in names:
+                counts[names[frame.f_code]] += 1
+
+        stepping = 0
+        before = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            for event in events[1:]:
+                runtime = svc._runtime
+                stepping += event.time > svc.clock and not runtime.all_done
+                svc.submit(event)
+        finally:
+            sys.setprofile(before)
+        assert svc.admitted == len(events)
+        assert 0 < stepping < len(events) - 1
+        assert counts.pop("steps_at_full_speed") <= len(events) - 1
+        assert counts == {
+            "work_vector": 0,
+            "frac_ceil": 0,
+            "_total_backlog": 0,
+            "run_kernel": stepping,
+        }
 
     def test_one_session_read_per_submit(self, monkeypatch):
         counts = {"get_session": 0}
