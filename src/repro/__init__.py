@@ -76,6 +76,7 @@ from .exceptions import (
     InfeasibleAssignmentError,
     InvalidInstanceError,
     InvalidScheduleError,
+    MissingDependencyError,
     ObserverError,
     ReproError,
     SequencingError,
@@ -116,6 +117,7 @@ __all__ = [
     "InvalidScheduleError",
     "Job",
     "Makespan",
+    "MissingDependencyError",
     "Objective",
     "ObserverError",
     "Policy",

@@ -30,19 +30,29 @@ instances in tests; size grows as ``2 * |jobs| * T`` variables.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
 
 from ..core.instance import Instance
 from ..core.lower_bounds import length_bound, work_bound
 from ..core.numerics import as_float
-from ..exceptions import SolverError
+from ..exceptions import MissingDependencyError, SolverError
 
 __all__ = ["milp_makespan", "milp_feasible"]
 
 
 def _job_list(instance: Instance) -> list[tuple[int, int]]:
     return [jid for jid, _ in instance.jobs()]
+
+
+def _highs():
+    """scipy's MILP entry points, imported on first use (the ``milp`` extra)."""
+    try:
+        from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.sparse import lil_matrix
+    except ImportError as exc:
+        raise MissingDependencyError(
+            "the MILP oracle needs scipy: pip install 'crsharing-repro[milp]'"
+        ) from exc
+    return Bounds, LinearConstraint, milp, lil_matrix
 
 
 def milp_feasible(instance: Instance, horizon: int) -> bool:
@@ -55,7 +65,9 @@ def milp_feasible(instance: Instance, horizon: int) -> bool:
     Raises:
         SolverError: if HiGHS reports anything other than a clean
             feasible/infeasible answer.
+        MissingDependencyError: if scipy is not installed.
     """
+    Bounds, LinearConstraint, milp, lil_matrix = _highs()
     instance.require_single_resource("milp_feasible")
     instance.require_static("milp_feasible")
     if horizon <= 0:
@@ -158,7 +170,9 @@ def milp_makespan(instance: Instance, *, upper: int | None = None) -> int:
 
     Raises:
         SolverError: if no feasible horizon is found up to the bound.
+        MissingDependencyError: if scipy is not installed.
     """
+    _highs()
     lb = max(work_bound(instance), length_bound(instance), 1)
     if upper is None:
         from .greedy_balance import GreedyBalance

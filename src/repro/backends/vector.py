@@ -427,11 +427,14 @@ class VectorState(JobTableState):
         self._bind_views()
 
     def _grow_table(self, capacity: int) -> None:
-        """Widen the padded job table to *capacity* jobs per lane."""
-        table = self._table
-        pad = np.repeat(table[..., -1:], capacity - table.shape[-1], axis=-1)
-        self._table = np.concatenate([table, pad], axis=-1)
-        self.finish = np.concatenate([self.finish, np.zeros_like(pad[0], dtype=np.int64)], axis=-1)
+        """Widen the padded job table to *capacity* jobs per lane, in one allocation."""
+        table, width = self._table, self._table.shape[-1]
+        self._table = np.empty(table.shape[:-1] + (capacity,), dtype=table.dtype)
+        self._table[..., :width] = table
+        self._table[..., width:] = table[..., -1:]
+        finish = np.zeros(self.finish.shape[:-1] + (capacity,), dtype=np.int64)
+        finish[..., :width] = self.finish
+        self.finish = finish
         self._bind_views()
 
 

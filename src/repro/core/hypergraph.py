@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import networkx as nx
-
-from ..exceptions import UnitSizeRequiredError
+from ..exceptions import MissingDependencyError, UnitSizeRequiredError
 from .job import JobId
 from .schedule import Schedule
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Component", "SchedulingGraph", "build_scheduling_graph"]
 
@@ -237,7 +238,16 @@ class SchedulingGraph:
         contains both endpoints.  Clique expansion preserves
         connectivity, so ``nx.connected_components`` agrees with
         :attr:`components`.
+
+        Raises:
+            MissingDependencyError: if networkx is not installed.
         """
+        try:
+            import networkx as nx
+        except ImportError as exc:
+            raise MissingDependencyError(
+                "to_networkx needs networkx: pip install 'crsharing-repro[graph]'"
+            ) from exc
         g = nx.Graph()
         for (jid, job) in self.schedule.instance.jobs():
             g.add_node(jid, weight=job.requirement, component=self._component_of[jid])

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..exceptions import InvalidInstanceError
-from .numerics import Num, ONE, ZERO, format_frac, to_frac
+from .numerics import Num, ONE, format_frac, to_frac
 
 __all__ = ["Job", "JobId"]
 
@@ -65,6 +65,8 @@ JobId = tuple[int, int]
 
 def _finite(value: Num, field: str) -> Fraction:
     """*value* as a Fraction; non-finite numbers violate the model."""
+    if type(value) is Fraction:
+        return value
     try:
         return to_frac(value)
     except ValueError as exc:
@@ -151,18 +153,20 @@ class Job:
                 )
         else:
             reqs = (_finite(requirement, "requirement"),)
+        # Fraction denominators are positive, so the range and sign
+        # checks compare the int numerator and denominator directly.
         for req in reqs:
-            if not (ZERO <= req <= ONE):
+            if not (0 <= req.numerator <= req.denominator):
                 raise InvalidInstanceError(
                     f"job requirement must be in [0, 1], got {format_frac(req)}"
                 )
-        sz = _finite(size, "size")
-        if sz <= ZERO:
+        sz = ONE if type(size) is int and size == 1 else _finite(size, "size")
+        if sz.numerator <= 0:
             raise InvalidInstanceError(
                 f"job size must be positive, got {format_frac(sz)}"
             )
-        wgt = _finite(weight, "weight")
-        if wgt <= ZERO:
+        wgt = ONE if type(weight) is int and weight == 1 else _finite(weight, "weight")
+        if wgt.numerator <= 0:
             raise InvalidInstanceError(
                 f"job weight must be positive, got {format_frac(wgt)}"
             )

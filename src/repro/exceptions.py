@@ -25,6 +25,7 @@ __all__ = [
     "SequencingError",
     "CheckpointError",
     "ServiceError",
+    "MissingDependencyError",
 ]
 
 
@@ -117,6 +118,14 @@ class ServiceError(ReproError):
     """The scheduling service layer (:mod:`repro.service`) was misused:
     unknown admission policy, malformed trace/event-log documents, or
     events submitted against a closed engine."""
+
+
+class MissingDependencyError(ReproError, ImportError):
+    """An optional package a feature needs is not installed.
+
+    The message names the extra that installs it: ``milp`` (scipy) or
+    ``graph`` (networkx).  Also an ``ImportError``.
+    """
 
 
 class UnknownPolicyError(ReproError, KeyError):
