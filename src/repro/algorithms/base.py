@@ -341,9 +341,14 @@ def sort_key(values: np.ndarray, *, decimals: int = 9) -> np.ndarray:
     inconsistently with the exact path's value-then-index order.
     Rounding to the backend tolerance restores those ties; instances on
     a requirement grid coarser than ``10**-decimals`` sort identically
-    to exact arithmetic.
+    to exact arithmetic.  Bitwise ``np.round``: its scale, ``rint`` and
+    divide on floats, without its dispatch.
     """
-    return np.round(values, decimals)
+    scale = 10.0**decimals
+    key = np.multiply(values, scale)
+    np.rint(key, out=key)
+    key /= scale
+    return key
 
 
 def water_fill_array(
@@ -384,12 +389,11 @@ def water_fill_array(
         if eligible is not None:
             order = order[eligible[order]]
         return water_fill_array_multi(state, order, capacity=capacity)
-    B, m = state.remaining.shape
-    at = None if order is None else order + np.arange(0, B * m, m)[:, None]
+    at = None if order is None else order + state.lane_offsets
     if state.num_resources == 1:
         return _prefix_fill(state, at, eligible, capacity)
     if order is None:
-        order = np.broadcast_to(np.arange(m), (B, m))
+        order = np.broadcast_to(np.arange(state.num_processors), state.remaining.shape)
     shares = _fill_arrays_batch_multi(
         state.remaining,
         state.active_requirements,
@@ -427,7 +431,8 @@ def _prefix_fill(state, at: np.ndarray | None, eligible, capacity: float) -> np.
     -- or is ``None`` for index order (no gather, no scatter).
     Processors outside *eligible* get zero useful share.  Each row's
     cumsum sees exactly the ordered values of a per-lane fill, since
-    interleaved exact zeros never perturb a float cumsum.
+    interleaved exact zeros never perturb a float cumsum.  A full-size
+    *at* is a permutation (priority orders are): it fills an ``empty`` block.
     """
     useful = np.minimum(state.remaining, state.active_requirements)
     if eligible is not None:
@@ -441,7 +446,7 @@ def _prefix_fill(state, at: np.ndarray | None, eligible, capacity: float) -> np.
     np.minimum(grants, u, out=grants)
     if at is None:
         return grants
-    shares = np.zeros(useful.shape)
+    shares = (np.empty if at.size == useful.size else np.zeros)(useful.shape)
     shares.put(at, grants)
     return shares
 

@@ -29,11 +29,11 @@ and advances all of them with one shared array program per step:
   surviving lanes so long-tail ragged batches stop paying for dead
   ones (``BatchRunResult.compactions`` counts the shrinks);
 * completion steps land in one ``(B, m, n + 1)`` array with one
-  fancy-index store per step; after the run every objective reduces
-  it once (:meth:`~repro.objectives.base.Objective.batch_values`:
-  one int64 sum for weighted flow, per-lane folds otherwise), equal
-  to ``B`` separate :class:`~repro.backends.vector.VectorBackend`
-  runs.
+  flat ``put`` per step (a fancy-index store once compacted); after
+  the run every objective reduces it once
+  (:meth:`~repro.objectives.base.Objective.batch_values`: one int64
+  sum for weighted flow, per-lane folds otherwise), equal to ``B``
+  separate :class:`~repro.backends.vector.VectorBackend` runs.
 
 Each step asks the policy once, through the same
 :meth:`repro.algorithms.base.Policy.shares_array` the single-lane
@@ -111,6 +111,8 @@ class BatchVectorState(JobTableState):
         active_weights: ``(B, m)`` objective weights.
         active_deadlines: ``(B, m)`` due steps (``inf`` when absent).
         resource_spent: ``(B, k)`` cumulative resource-time used.
+        lane_offsets: ``(B, 1)`` flat index of each lane's first
+            processor (set with the views, so compaction renews it).
     """
 
     __slots__ = (
@@ -128,6 +130,7 @@ class BatchVectorState(JobTableState):
         "active_weights",
         "active_deadlines",
         "resource_spent",
+        "lane_offsets",
         "_table",
         "_active",
         "_flat_table",
@@ -144,6 +147,10 @@ class BatchVectorState(JobTableState):
         "_lanes", "lane_num_resources", "num_jobs", "done", "_release",
         "_released", "resource_spent",
     )
+
+    def _bind_views(self) -> None:
+        super()._bind_views()
+        self.lane_offsets = np.arange(0, self.num_jobs.size, self.num_processors)[:, None]
 
     def __init__(self, instances: Sequence[Instance] | BagSelection) -> None:
         if not isinstance(instances, BagSelection):
@@ -436,7 +443,10 @@ class BatchVectorRuntime:
             if slots.size:
                 lanes, procs = np.divmod(slots, m)
                 if finish is not None:
-                    finish[state._lanes[lanes], procs, jobs] = t
+                    if compactions:
+                        finish[state._lanes[lanes], procs, jobs] = t
+                    else:  # every lane still sits at its original index
+                        finish.put(slots * finish.shape[-1] + jobs, t)
                 jobs_left -= np.bincount(lanes, minlength=state.num_lanes)
                 newly_done = live & (jobs_left == 0)
                 if newly_done.any():

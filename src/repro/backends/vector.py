@@ -599,19 +599,18 @@ class BagSelection:
         ``(B, m, n + 1)`` row ids, padded with the sentinel id ``-1``.
         """
         if self._ids is None:
-            m = max(map(len, self.queues))
-            width = max(len(q) for lane in self.queues for q in lane) + 1
-            pad, empty = (-1,) * width, ((),) * m
-            rows = [
-                tuple(q) + pad[len(q):]
-                for lane in self.queues
-                for q in (lane if len(lane) == m else tuple(lane) + empty[len(lane):])
-            ]
-            shape = (len(self.queues), m)
-            ids = np.fromiter(chain.from_iterable(rows), np.intp, len(rows) * width)
-            release = [tuple(r) + (0,) * (m - len(r)) for r in self.releases]
-            num_jobs = np.array([width - r.count(-1) for r in rows]).reshape(shape)
-            self._ids = (num_jobs, np.array(release, np.int64), ids.reshape(shape + (width,)))
+            lanes = self.queues
+            # Each lane's own processors: a lane with fewer queues pads
+            # them with empty ones.
+            mask = np.arange(max(map(len, lanes))) < np.array([len(lane) for lane in lanes])[:, None]
+            lengths = [len(q) for lane in lanes for q in lane]
+            num_jobs, release = np.zeros(mask.shape, np.int64), np.zeros(mask.shape, np.int64)
+            num_jobs[mask], release[mask] = lengths, list(chain.from_iterable(self.releases))
+            # Every id, in (lane, queue, position) order, lands on its slot.
+            ids = np.full(mask.shape + (max(lengths) + 1,), -1, np.intp)
+            flat = np.fromiter(chain.from_iterable(chain.from_iterable(lanes)), np.intp, sum(lengths))
+            ids[np.arange(ids.shape[-1]) < num_jobs[..., None]] = flat
+            self._ids = (num_jobs, release, ids)
         return self._ids
 
     def tables(self) -> tuple:

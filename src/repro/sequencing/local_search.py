@@ -22,7 +22,8 @@ keyed by id tuples, and a batch of neighbors reaches the batched
 engine as one :class:`~repro.backends.vector.BagSelection`.  Equal jobs
 share an id, so every move, cache hit and acceptance is the one the
 ``Instance`` form would make; an ``Instance`` is built only for a
-single-lane evaluation and for the returned order.
+single-lane evaluation (sequential and non-vector searches, or a batch
+with one missed order) and for the returned order.
 
 Determinism: the search is seeded, and *restarts* draw from
 decorrelated seed streams (``seed + r * offset``), mirroring the
@@ -77,8 +78,8 @@ class LocalSearchSequencer(Sequencer):
             ``None`` is unpinned like *policy*, falling back to
             ``"makespan"``, the paper's objective).
         budget: candidate evaluations per restart (a restart's
-            perturbation evaluation counts against its own budget; the
-            initial order's single evaluation is charged to none).
+            perturbed order counts against its own budget; the initial
+            order's evaluation is charged to none).
             Budget left over when a restart exhausts its neighborhood
             early is *not* carried into later restarts.
         restarts: independent climbing passes; restart ``r`` draws its
@@ -98,7 +99,9 @@ class LocalSearchSequencer(Sequencer):
             a single missed order runs on the single-lane backend,
             several in one :func:`~repro.backends.batched.run_batch`
             call (vector backend; other backends evaluate them one by
-            one).
+            one).  A climb's starting order (the initial order, or a
+            restart's perturbed one) rides its first batch as one more
+            lane when that batch holds two or more neighbors.
 
     Attributes:
         last_stats: after each :meth:`sequence` call, a dict with the
@@ -106,7 +109,8 @@ class LocalSearchSequencer(Sequencer):
             objective values, ``improved`` (their strict comparison),
             the move outcome counts (``accepted`` / ``rejected``
             neighborhood candidates, plus ``perturbations`` --
-            restart-kickoff evaluations, charged to neither), the
+            restarts' perturbed orders, charged to neither; each is
+            evaluated with its climb's first batch), the
             memoization figures (``cache_hits`` -- evaluations served
             from the per-call canonical-order cache or by a duplicate
             in the same batch -- and ``kernel_runs``, the orders
@@ -236,21 +240,17 @@ class LocalSearchSequencer(Sequencer):
         jobs = self._bag.jobs
         return self._base.with_queues([[jobs[r] for r in q] for q in key])
 
-    @staticmethod
-    def _key(queues) -> tuple:
-        return tuple(map(tuple, queues))
-
     def _evaluate_many(self, keys: list[tuple]) -> list:
         """Evaluate orders (row-id keys), cache-aware and deduplicated.
 
-        The one evaluation path of the search: the initial order, each
-        restart's perturbation and every climb batch come through here.
-        Keys are per-queue row-id tuples over the call's
-        :class:`~repro.backends.vector.JobBag`; equal jobs share an id,
-        so keys compare exactly as instances do, and restarts,
-        revisited neighbors and duplicates within a batch hit the
-        cache instead of re-running the kernel.  The cache lives for
-        one :meth:`sequence` call.
+        The one evaluation path of the search: every climb batch and
+        each climb's starting order (the initial order, or a restart's
+        perturbed one) come through here.  Keys are per-queue row-id
+        tuples over the call's :class:`~repro.backends.vector.JobBag`;
+        equal jobs share an id, so keys compare exactly as instances
+        do, and restarts, revisited neighbors and duplicates within a
+        batch hit the cache instead of re-running the kernel.  The
+        cache lives for one :meth:`sequence` call.
         """
         values: list = [None] * len(keys)
         fresh: dict[tuple, list[int]] = {}
@@ -277,12 +277,13 @@ class LocalSearchSequencer(Sequencer):
     def _run_fresh(self, keys: list[tuple]) -> list:
         """Kernel-evaluate uncached orders.
 
-        One order runs on the single-lane backend (:meth:`evaluate`):
-        the batched engine at one lane is slower.  Two or more run as
-        one :func:`~repro.backends.batched.run_batch` call over a
-        :class:`~repro.backends.vector.BagSelection` of their ids when
-        the backend is the vector engine; other backends evaluate them
-        one by one (same values, no batching).
+        Two or more run as one :func:`~repro.backends.batched.run_batch`
+        call over a :class:`~repro.backends.vector.BagSelection` of
+        their ids when the backend is the vector engine; other backends
+        evaluate them one by one (same values, no batching).  One order
+        runs on the single-lane backend (:meth:`evaluate`), faster than
+        the batched engine at one lane: sequential climbs, and batches
+        that leave one order uncached.
         """
         policy = self.policy
         if (
@@ -311,38 +312,45 @@ class LocalSearchSequencer(Sequencer):
         return [self.evaluate(self._instance(key)) for key in keys]
 
     # ------------------------------------------------------------------
-    # Neighborhood moves on per-queue row-id lists (mutated in place;
-    # moves return False when the drawn move is a no-op so the caller
-    # can redraw)
+    # Neighborhood moves on a list of per-queue row-id tuples, mutated
+    # in place: a move replaces only the tuples it touches, so a trial
+    # copies one list of references.  Moves return False when the
+    # drawn move is a no-op so the caller can redraw.
     # ------------------------------------------------------------------
     @staticmethod
-    def _positions(queues: list[list[int]]) -> list[tuple[int, int]]:
-        return [(i, j) for i, q in enumerate(queues) for j in range(len(q))]
+    def _swap(queues: list[tuple[int, ...]], rng: random.Random) -> bool:
+        """Swap the jobs at two distinct positions (possibly cross-queue).
 
-    @staticmethod
-    def _swap(queues: list[list[int]], rng: random.Random) -> bool:
-        """Swap the jobs at two distinct positions (possibly cross-queue)."""
-        pos = LocalSearchSequencer._positions(queues)
-        if len(pos) < 2:
+        Draws them as flat indices: the draw ``rng.sample`` makes from
+        the list of every ``(queue, position)`` pair.
+        """
+        total = sum(map(len, queues))
+        if total < 2:
             return False
-        (i1, j1), (i2, j2) = rng.sample(pos, 2)
-        if queues[i1][j1] == queues[i2][j2]:
+        (i1, j1), (i2, j2) = (_locate(queues, at) for at in rng.sample(range(total), 2))
+        a, b = queues[i1][j1], queues[i2][j2]
+        if a == b:
             return False  # identical jobs: the order is unchanged
-        queues[i1][j1], queues[i2][j2] = queues[i2][j2], queues[i1][j1]
+        for i, j, job in ((i1, j1, b), (i2, j2, a)):
+            q = queues[i]
+            queues[i] = q[:j] + (job,) + q[j + 1 :]
         return True
 
     @staticmethod
-    def _insert(queues: list[list[int]], rng: random.Random) -> bool:
+    def _insert(queues: list[tuple[int, ...]], rng: random.Random) -> bool:
         """Relocate one job to another position (never emptying a queue)."""
         donors = [i for i, q in enumerate(queues) if len(q) > 1]
         if not donors:
             return False
         i1 = rng.choice(donors)
-        j1 = rng.randrange(len(queues[i1]))
-        job = queues[i1].pop(j1)
+        q = queues[i1]
+        j1 = rng.randrange(len(q))
+        job = q[j1]
+        queues[i1] = q[:j1] + q[j1 + 1 :]
         i2 = rng.randrange(len(queues))
-        j2 = rng.randrange(len(queues[i2]) + 1)
-        queues[i2].insert(j2, job)
+        q = queues[i2]
+        j2 = rng.randrange(len(q) + 1)
+        queues[i2] = q[:j2] + (job,) + q[j2:]
         return (i1, j1) != (i2, j2)
 
     # ------------------------------------------------------------------
@@ -371,38 +379,32 @@ class LocalSearchSequencer(Sequencer):
             "cache_hits": 0,
             "kernel_runs": 0,
         }
-        start = self._start = bag.add(instance)
-        best_queues = [list(q) for q in start]
-        (best_value,) = self._evaluate_many([start])
-        c["evaluations"] += 1
-        initial_value = best_value
+        # Orders are keys: per-queue row-id tuples.
+        best = start = self._start = bag.add(instance)
+        best_value = None  # the first climb evaluates the initial order
         for r in range(self.restarts):
             rng = random.Random(self.seed + r * _RESTART_SEED_OFFSET)
-            current = [list(q) for q in best_queues]
-            current_value = best_value
+            current = best
             spent = 0  # this restart's evaluations; never carried over
             if r > 0:
                 # Perturb the incumbent so this restart explores a
-                # different basin; the perturbed order is evaluated
-                # like any other candidate below.
+                # different basin; the climb evaluates the perturbed
+                # order like any other candidate.
+                perturbed = list(best)
                 for _ in range(len(instance.queues)):
-                    self._swap(current, rng)
-                (current_value,) = self._evaluate_many([self._key(current)])
-                c["evaluations"] += 1
+                    self._swap(perturbed, rng)
+                current = tuple(perturbed)
                 spent += 1
                 c["perturbations"] += 1
-                if current_value < best_value:
-                    best_queues = [list(q) for q in current]
-                    best_value = current_value
-            best_queues, best_value = self._climb(
-                rng, current, current_value, best_queues, best_value, spent,
-            )
+            best, best_value = self._climb(rng, current, best, best_value, spent)
+        # Every evaluated order is cached, the initial one included.
+        initial_value = self._cache[start]
         improved = best_value < initial_value
-        if sorted(chain(*best_queues)) != sorted(chain(*start)):  # pragma: no cover
+        if sorted(chain(*best)) != sorted(chain(*start)):  # pragma: no cover
             raise SequencingError(
                 "local search corrupted the job bag (internal error)"
             )
-        result = self._instance(self._key(best_queues)) if improved else instance
+        result = self._instance(best) if improved else instance
         # Orders die with the call; keep no references.
         self._cache = {}
         self._bag = self._base = None
@@ -443,26 +445,28 @@ class LocalSearchSequencer(Sequencer):
             )
         return result
 
-    def _climb(
-        self, rng, current, current_value, best_queues, best_value, spent,
-    ):
-        """One restart's hill-climb.
+    def _climb(self, rng, current, best, best_value, spent):
+        """One restart's hill-climb from the key *current*, not yet evaluated.
 
         Each iteration draws up to ``batch_lanes`` neighbors of the
         incumbent from the seeded move stream and moves to the best
         one iff it strictly improves the incumbent (first index wins
         ties, so the trajectory is deterministic).  One lane is the
         classic sequential climb.  Every batch, of any size, goes
-        through :meth:`_evaluate_many`: a single missed order runs on
-        the single-lane backend, several in one ``run_batch`` call.
+        through :meth:`_evaluate_many`.  *current*'s own value is
+        settled before the first batch's acceptance test: as one more
+        lane of that batch when it holds two or more neighbors, alone
+        otherwise (``best_value`` is ``None`` when *current* is the
+        initial order).
         """
         c = self._counts
+        current_value = None
         misdraws = 0
-        while spent < self.budget:
+        while current_value is None or (spent < self.budget and misdraws < 32):
             lanes = min(self.batch_lanes, self.budget - spent)
-            trials: list[list[list[int]]] = []
+            trials: list[tuple] = []
             while len(trials) < lanes:
-                trial = [list(q) for q in current]
+                trial = list(current)
                 move = rng.choice((self._swap, self._insert))
                 if not move(trial, rng):
                     # Degenerate instances (one single-job queue) have
@@ -473,10 +477,20 @@ class LocalSearchSequencer(Sequencer):
                         break
                     continue
                 misdraws = 0
-                trials.append(trial)
+                trials.append(tuple(trial))
+            if current_value is None:
+                if len(trials) > 1:
+                    current_value, *values = self._evaluate_many([current, *trials])
+                else:
+                    (current_value,) = self._evaluate_many([current])
+                    values = self._evaluate_many(trials)
+                c["evaluations"] += 1
+                if best_value is None or current_value < best_value:
+                    best, best_value = current, current_value
+            else:
+                values = self._evaluate_many(trials)
             if not trials:
                 break
-            values = self._evaluate_many([self._key(t) for t in trials])
             c["evaluations"] += len(trials)
             spent += len(trials)
             best_i = min(range(len(values)), key=values.__getitem__)
@@ -486,10 +500,16 @@ class LocalSearchSequencer(Sequencer):
                 current = trials[best_i]
                 current_value = values[best_i]
                 if current_value < best_value:
-                    best_queues = [list(q) for q in current]
-                    best_value = current_value
+                    best, best_value = current, current_value
             else:
                 c["rejected"] += len(trials)
-            if misdraws >= 32:
-                break
-        return best_queues, best_value
+        return best, best_value
+
+
+def _locate(queues: list[tuple[int, ...]], at: int) -> tuple[int, int]:
+    """``(queue, position)`` of flat position *at* in the queues' concatenation."""
+    for i, queue in enumerate(queues):
+        if at < len(queue):
+            return i, at
+        at -= len(queue)
+    raise IndexError(at)  # pragma: no cover - callers draw below the total

@@ -26,8 +26,8 @@ would round differently, so it is summed only when read
 does not).  An arrival at the clock's own step enters no kernel.
 ``benchmarks/bench_service.py`` gates the flatness: p99 submit latency
 at 8000 jobs stays within 1.5x of p99 at 1000 jobs.  Checkpoints remain
-the persistence and replay format (the first arrival starts the run
-from one); they are off the per-event path.
+the persistence and replay format; they are off the event path (the
+first arrival builds one runtime and sets its clock).
 
 Every decision lands in an event log replayable through
 :func:`replay_log`; :meth:`SchedulingService.report` summarizes
@@ -56,7 +56,8 @@ from typing import Any, Iterable
 
 from ..algorithms import get_policy
 from ..backends.vector import VectorRuntime
-from ..core.checkpoint import checkpoint_run, restore_runtime
+# Unused here; kept as module attributes that ``perfbench/tracing.py`` patches.
+from ..core.checkpoint import checkpoint_run, restore_runtime  # noqa: F401
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.kernel import CompletionRecorder, ExactRuntime, run_kernel
@@ -295,11 +296,11 @@ class SchedulingService:
     def _extend(self, job: Job, queue_index: int, at: int) -> None:
         """Grow the live run by *job* on *queue_index* at step *at*."""
         if self._runtime is None:
-            # The first arrival starts the run from a checkpoint of a
-            # fresh runtime, fast-forwarded to the arrival step.
-            instance = Instance([[job]], releases=[at])
-            ckpt = checkpoint_run(self._new_runtime(instance))
-            self._runtime = restore_runtime(ckpt.at_step(at))
+            # The first arrival starts a fresh run at the arrival step:
+            # nothing runs before its queue's release, so the clock
+            # skips there as over an idle gap (see _advance).
+            self._runtime = self._new_runtime(Instance([[job]], releases=[at]))
+            self._runtime.state.t = at
         elif queue_index == self._runtime.instance.num_processors:
             self._runtime.extend(job, queue_index, at)
         else:

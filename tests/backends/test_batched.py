@@ -154,8 +154,16 @@ class TestOneQuery:
 
     def test_lane_only_policy_fails_batched_search(self):
         search = LocalSearchSequencer(policy=_LaneOnly(), batch_lanes=8, budget=16)
-        with pytest.raises(InfeasibleAssignmentError, match=r"step 0 \(expected \(8, 3\)\)"):
+        with pytest.raises(InfeasibleAssignmentError, match=r"step 0 \(expected \(9, 3\)\)"):
             search.sequence(bag_instance(3, 4, seed=0))
+
+    def test_lane_only_policy_runs_sequential_search(self):
+        # One lane per batch: every order, the starting ones included,
+        # runs alone on the single-lane engine.
+        inst = bag_instance(3, 4, seed=0)
+        search = LocalSearchSequencer(policy=_LaneOnly(), batch_lanes=1, budget=16)
+        assert search.sequence(inst).same_bag(inst)
+        assert search.last_stats["kernel_runs"] > 1
 
 
 class TestErrorPaths:

@@ -177,6 +177,25 @@ class TestPerEventCost:
         assert counts == dict.fromkeys(counts, 0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("at", [0, 7])
+    def test_first_arrival_builds_one_state(self, backend, at, monkeypatch):
+        """No checkpoint round trip; the state equals the one it gave."""
+        counts = dict.fromkeys(("checkpoint_run", "restore_runtime", "__init__"), 0)
+        for module in (engine, checkpoint):
+            _counting(monkeypatch, module, "checkpoint_run", counts)
+            _counting(monkeypatch, module, "restore_runtime", counts)
+        for cls in (VectorState, ExecState):
+            _counting(monkeypatch, cls, "__init__", counts)
+        svc = SchedulingService(backend=backend)
+        job = Job("1/3", 2)
+        svc.submit(ArrivalEvent(at, job))
+        assert counts == {"checkpoint_run": 0, "restore_runtime": 0, "__init__": 1}
+        fresh = svc._new_runtime(Instance([[job]], releases=[at]))
+        restored = checkpoint.restore_runtime(checkpoint.checkpoint_run(fresh).at_step(at))
+        assert svc._runtime.capture() == restored.capture()
+        assert svc.clock == at
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_submit_reads_running_totals(self, backend):
         """No per-job rescan, no exact work sum, no idle kernel entry.
 
