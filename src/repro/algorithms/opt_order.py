@@ -31,10 +31,10 @@ Two reductions keep the tree far below ``prod_i n_i!`` leaves:
   equal as value objects, only the lowest-indexed one may be placed
   next (equal jobs produce value-identical orders);
 * **prefix memoization** -- prefix bounds and leaf evaluations are
-  memoized on the *job-value* sequences, so prefixes that differ only
-  in the indices of equal jobs collapse to one entry (the dominated
-  duplicates symmetry breaking cannot reach across restarts of the
-  heap).
+  memoized on the *job-value* sequences (integer job-class ids read
+  off the job table), so prefixes that differ only in the indices of
+  equal jobs collapse to one entry (the dominated duplicates symmetry
+  breaking cannot reach across restarts of the heap).
 
 Because the bound is monotone along tree edges, the search may stop as
 soon as the best unexplored bound reaches the incumbent: the incumbent
@@ -44,7 +44,10 @@ gracefully (``proved=False``; the value is still a valid upper bound).
 The evaluator is pluggable: the default is the per-order exact oracle,
 and :func:`repro.analysis.certify.certify_opt` also plugs in policy
 evaluation through the simulation backends (the epsilon-certified
-mode: "no queue order lets this policy beat X").
+mode: "no queue order lets this policy beat X").  A policy's makespan
+on an order is at least that order's exact optimum, so a plugged-in
+evaluator's leaves are bounded by the oracle before they run, and
+skipped when the bound already meets the incumbent.
 """
 
 from __future__ import annotations
@@ -175,9 +178,11 @@ class OrderSearchResult:
         nodes: branch-and-bound nodes expanded (0 when the incumbent
             already matched the global lower bound, or for plain
             enumeration).
-        bound_calls: prefix-oracle lower-bound evaluations.
+        bound_calls: prefix-oracle lower-bound evaluations (cache
+            misses; with a plugged-in evaluator also on whole orders).
         leaf_evaluations: complete orders evaluated (cache misses).
-        pruned: subtrees cut by the bound test.
+        pruned: subtrees cut by the bound test (with a plugged-in
+            evaluator also whole orders skipped by theirs).
         lower_bound: the order-invariant global lower bound used.
         order_space: ``prod_i n_i!``, the unreduced leaf count.
     """
@@ -193,16 +198,28 @@ class OrderSearchResult:
     order_space: int = 1
 
 
-def _value_key(instance: Instance, orders) -> tuple:
+def _class_ids(instance: Instance) -> list[list[int]]:
+    """Per queue, each job's dense job-class id.
+
+    Read off the job table's row keys, which are equal exactly when the
+    ``Job`` s are, so two jobs share an id exactly when they are equal
+    as value objects.
+    """
+    table = instance.job_table()
+    classes: dict[tuple, int] = {}
+    return table.queues([classes.setdefault(row, len(classes)) for row in table.rows()])
+
+
+def _value_key(ids: list[list[int]], orders) -> tuple:
     """Hashable job-value key of a (partial) order assignment.
 
-    Two partial orders that place *equal* jobs in the same positions
-    get the same key: their completions are value-identical, so bounds
-    and leaf evaluations may be shared (and duplicate subtrees
-    skipped).
+    *ids* are the instance's :func:`_class_ids`.  Two partial orders
+    that place *equal* jobs in the same positions get the same key:
+    their completions are value-identical, so bounds and leaf
+    evaluations may be shared (and duplicate subtrees skipped).
     """
     return tuple(
-        tuple(instance.job(i, j) for j in row) for i, row in enumerate(orders)
+        tuple(map(row_ids.__getitem__, row)) for row_ids, row in zip(ids, orders)
     )
 
 
@@ -214,21 +231,22 @@ def _seed_orders(instance: Instance) -> list[tuple[tuple[int, ...], ...]]:
     index permutations.  A good incumbent is what makes the bound test
     bite early; when one of these already meets the global lower
     bound, the search proves optimality without expanding a node.
+    The sort keys are the job table's integer ``works`` / ``rstar``
+    columns, each over one denominator, so they order as the jobs'
+    ``Fraction`` works and requirements do.
     """
-    keys: list[Callable] = [
-        lambda job: job.work,  # spt
-        lambda job: -job.work,  # lpt
-        lambda job: (-job.requirement, -job.work),  # requirement-desc
+    table = instance.job_table()
+    works = table.queues(table.works)
+    rstar = table.queues(table.rstar)
+    spt = works
+    lpt = [[-w for w in queue] for queue in works]
+    req_desc = [
+        [(-r, -w) for r, w in zip(rs, ws)] for rs, ws in zip(rstar, works)
     ]
     seeds = [identity_order(instance)]
-    for key in keys:
+    for keys in (spt, lpt, req_desc):
         seeds.append(
-            tuple(
-                tuple(
-                    sorted(range(len(queue)), key=lambda j: key(queue[j]))
-                )
-                for queue in instance.queues
-            )
+            tuple(tuple(sorted(range(len(row)), key=row.__getitem__)) for row in keys)
         )
     return seeds
 
@@ -244,6 +262,28 @@ def branch_and_bound_order(
 ) -> OrderSearchResult:
     """Best-first branch-and-bound over all queue orders of *instance*.
 
+    With a caller-supplied *evaluator* and the prefix bounds on, a
+    complete order is bounded before it is evaluated: its fixed-order
+    optimum (the prefix bound of the whole order) is a lower bound on
+    the evaluator's value, so an order whose bound already meets the
+    incumbent is skipped without a run.  The seed orders after the
+    first are bounded the same way, and seeding stops once the
+    incumbent meets the global lower bound.  None of this changes the
+    value, order, proof or node count; it only saves evaluations.
+    Without an evaluator the leaf value *is* the oracle, and leaves
+    are evaluated directly.
+
+    The counters:
+
+    * ``leaf_evaluations`` -- complete orders handed to the evaluator
+      (cache misses): the oracle's calls by default, the policy runs
+      when a policy evaluates them;
+    * ``bound_calls`` -- prefix-oracle calls (cache misses), including
+      the complete orders bounded for a plugged-in evaluator;
+    * ``pruned`` -- subtrees cut by the bound test, plus, for a
+      plugged-in evaluator, the complete orders (seeds included)
+      skipped by theirs.
+
     Args:
         instance: the instance whose per-queue orders are optimized.
         evaluator: complete-order objective, ``Instance -> value``
@@ -253,7 +293,7 @@ def branch_and_bound_order(
         oracle: per-order exact oracle for the default evaluator and
             the prefix bounds.
         lower_bound_fn: order-invariant global lower bound
-            (default :meth:`Instance.makespan_lower_bound`).
+            (default :func:`order_invariant_lower_bound`).
         prefix_bounds: also bound nodes by the exact optimum of the
             committed prefix sub-instance (skipped automatically when
             the exact oracles do not apply: multi-resource instances,
@@ -269,65 +309,33 @@ def branch_and_bound_order(
     n_jobs = [instance.num_jobs(i) for i in range(m)]
     total = sum(n_jobs)
     # Every leaf is a with_order copy: it gathers this one job table.
-    instance.job_table()
+    ids = _class_ids(instance)
+    use_prefix = prefix_bounds and _oracle_applies(instance)
+    # Decided before the default evaluator is filled in: that one is
+    # the oracle itself, so bounding its leaves would only repeat it.
+    bound_leaves = evaluator is not None and use_prefix
     if evaluator is None:
         evaluator = lambda inst: exact_order_makespan(inst, oracle=oracle)  # noqa: E731
     if lower_bound_fn is None:
         lower_bound_fn = order_invariant_lower_bound
     global_lb = lower_bound_fn(instance)
-    use_prefix = prefix_bounds and _oracle_applies(instance)
     if use_prefix:
         # Every prefix is a slice of the root's grid, and the root's
         # model checks cover it.
         units, cap = instance.to_integer_grid()
 
-    leaf_cache: dict[tuple, int] = {}
-    leaf_evaluations = 0
-
-    def evaluate(orders) -> int:
-        nonlocal leaf_evaluations
-        key = _value_key(instance, orders)
-        if key in leaf_cache:
-            return leaf_cache[key]
-        value = evaluator(instance.with_order(list(map(list, orders))))
-        leaf_cache[key] = value
-        leaf_evaluations += 1
-        return value
-
-    # Seed the incumbent with the as-built and static dispatch orders.
-    best_value: int | None = None
-    best_order: tuple[tuple[int, ...], ...] = identity_order(instance)
-    for seed in _seed_orders(instance):
-        value = evaluate(seed)
-        if best_value is None or value < best_value:
-            best_value, best_order = value, seed
-    assert best_value is not None
-
     nodes = 0
     bound_calls = 0
     pruned = 0
-    space = order_space_size(instance)
-    if best_value <= global_lb:
-        # The incumbent meets the order-invariant bound: optimal with
-        # zero expansions.
-        return OrderSearchResult(
-            value=best_value,
-            order=best_order,
-            proved=True,
-            nodes=0,
-            bound_calls=0,
-            leaf_evaluations=leaf_evaluations,
-            pruned=0,
-            lower_bound=global_lb,
-            order_space=space,
-        )
-
+    leaf_cache: dict[tuple, int] = {}
+    leaf_evaluations = 0
     prefix_optima: dict[tuple, int] = {}
+    best_value: int | None = None
+    best_order: tuple[tuple[int, ...], ...] = identity_order(instance)
 
-    def prefix_bound(orders) -> int:
+    def prefix_bound(orders, key) -> int:
         """Exact optimum of the committed prefix (a sound lower bound)."""
         nonlocal bound_calls
-        key = _value_key(instance, orders)
         if key in prefix_optima:
             return prefix_optima[key]
         rows = [[units[i][j] for j in row] for i, row in enumerate(orders) if row]
@@ -339,18 +347,61 @@ def branch_and_bound_order(
         prefix_optima[key] = value
         return value
 
-    # Nodes: (bound, tiebreak, committed-count, orders).  The heap is
-    # ordered by bound, then by depth (deeper first -- reach leaves and
-    # tighten the incumbent early), then insertion order.
+    def evaluate(orders, key) -> int | None:
+        """The leaf value of *orders*; None if its bound meets the incumbent."""
+        nonlocal leaf_evaluations, pruned
+        if key in leaf_cache:
+            return leaf_cache[key]
+        if (
+            bound_leaves
+            and best_value is not None
+            and prefix_bound(orders, key) >= best_value
+        ):
+            pruned += 1
+            return None
+        value = evaluator(instance.with_order(list(map(list, orders))))
+        leaf_cache[key] = value
+        leaf_evaluations += 1
+        return value
+
+    # Seed the incumbent with the as-built and static dispatch orders.
+    for seed in _seed_orders(instance):
+        if bound_leaves and best_value is not None and best_value <= global_lb:
+            break
+        value = evaluate(seed, _value_key(ids, seed))
+        if value is not None and (best_value is None or value < best_value):
+            best_value, best_order = value, seed
+    assert best_value is not None
+
+    space = order_space_size(instance)
+    if best_value <= global_lb:
+        # The incumbent meets the order-invariant bound: optimal with
+        # zero expansions.
+        return OrderSearchResult(
+            value=best_value,
+            order=best_order,
+            proved=True,
+            nodes=0,
+            bound_calls=bound_calls,
+            leaf_evaluations=leaf_evaluations,
+            pruned=pruned,
+            lower_bound=global_lb,
+            order_space=space,
+        )
+
+    # Nodes: (bound, -committed count, insertion counter, orders, value
+    # key).  The heap is ordered by bound, then by depth (deeper first
+    # -- reach leaves and tighten the incumbent early), then insertion
+    # order.
     counter = 0
     root = tuple(() for _ in range(m))
-    heap: list[tuple[int, int, int, tuple]] = [(global_lb, 0, 0, root)]
+    heap: list[tuple[int, int, int, tuple, tuple]] = [(global_lb, 0, 0, root, root)]
     proved = True
     expanded_values: set[tuple] = set()
 
     while heap:
-        bound, _, _, orders = heapq.heappop(heap)
-        committed = sum(len(row) for row in orders)
+        bound, depth, _, orders, vkey = heapq.heappop(heap)
+        committed = -depth
         if best_value is not None and bound >= best_value:
             # Best-first: every unexplored node has bound >= this one,
             # so nothing left can strictly beat the incumbent.
@@ -361,38 +412,37 @@ def branch_and_bound_order(
             break
         # Collapse value-identical prefixes (equal jobs, different
         # indices) that distinct branches can still produce.
-        vkey = _value_key(instance, orders)
         if vkey in expanded_values:
             continue
         expanded_values.add(vkey)
         nodes += 1
         # The active queue: first one with an uncommitted position.
         active = next(i for i in range(m) if len(orders[i]) < n_jobs[i])
+        row_ids = ids[active]
         used = set(orders[active])
-        remaining = [j for j in range(n_jobs[active]) if j not in used]
-        seen_jobs: set = set()
-        for j in remaining:
-            job = instance.job(active, j)
-            if job in seen_jobs:
-                continue  # symmetry: equal job already placed here
-            seen_jobs.add(job)
-            child = list(orders)
-            child[active] = orders[active] + (j,)
-            child = tuple(child)
+        seen_jobs: set[int] = set()
+        for j in range(n_jobs[active]):
+            if j in used or row_ids[j] in seen_jobs:
+                continue  # placed already, or an equal job placed here
+            seen_jobs.add(row_ids[j])
+            child = (
+                orders[:active] + (orders[active] + (j,),) + orders[active + 1 :]
+            )
+            ckey = vkey[:active] + (vkey[active] + (row_ids[j],),) + vkey[active + 1 :]
             if committed + 1 == total:
-                value = evaluate(child)
-                if value < best_value:
+                value = evaluate(child, ckey)
+                if value is not None and value < best_value:
                     best_value, best_order = value, child
                 continue
             child_bound = bound
             if use_prefix and committed + 1 >= 2:
-                child_bound = max(child_bound, prefix_bound(child))
+                child_bound = max(child_bound, prefix_bound(child, ckey))
             if child_bound >= best_value:
                 pruned += 1
                 continue
             counter += 1
             heapq.heappush(
-                heap, (child_bound, -(committed + 1), counter, child)
+                heap, (child_bound, -(committed + 1), counter, child, ckey)
             )
 
     return OrderSearchResult(
@@ -446,13 +496,13 @@ def enumerate_order_optimum(
     leaf_evaluations = 0
     best_value: int | None = None
     best_order = identity_order(instance)
-    instance.job_table()  # gathered by every with_order leaf
+    ids = _class_ids(instance)  # its table is gathered by every leaf
     per_queue = [
         list(permutations(range(instance.num_jobs(i))))
         for i in range(instance.num_processors)
     ]
     for orders in product(*per_queue):
-        key = _value_key(instance, orders)
+        key = _value_key(ids, orders)
         if key in cache:
             value = cache[key]
         else:

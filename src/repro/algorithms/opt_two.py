@@ -76,8 +76,6 @@ _DELTA = {
     _ADV2: (0, 1),
 }
 
-_Cell = tuple[int, int]
-
 
 @dataclass(frozen=True, slots=True)
 class OptTwoResult:
@@ -108,106 +106,136 @@ def _grid(instance: Instance) -> tuple[list[list[int]], int]:
 
 
 def _successors(
-    i1: int, i2: int, r: int, a1: list[int], a2: list[int], cap: int
-) -> list[tuple[int, int, int, str]]:
+    i1: int, i2: int, r: int, nxt1: list[int], nxt2: list[int], cap: int
+) -> tuple[tuple[int, int, str], ...]:
     """All Algorithm-1 transitions from cell ``(i1, i2)`` with remaining
-    sum ``r`` (grid units, capacity *cap*).  Every transition takes one
-    step; returns ``(i1', i2', r', move)`` tuples."""
-    n1, n2 = len(a1), len(a2)
-    nxt1 = a1[i1 + 1] if i1 + 1 < n1 else 0
-    nxt2 = a2[i2 + 1] if i2 + 1 < n2 else 0
+    sum ``r`` (grid units, capacity *cap*).
+
+    ``nxt1[i1]`` / ``nxt2[i2]`` is the requirement of the job after
+    the current one (0 past the end), one entry per job.  Every
+    transition takes one step; returns ``(offset, r', move)`` tuples,
+    where *offset* moves a flat cell index (``(i1, i2)`` at
+    ``i1 * (n2 + 1) + i2``) to the successor cell.
+    """
+    n1, n2 = len(nxt1), len(nxt2)
+    down = n2 + 1
     if i1 >= n1:
         # Processor 1 exhausted: p2 finishes one job per step (its
         # remaining requirement is at most 1, so one step suffices).
-        return [(i1, i2 + 1, nxt2, _ADV2)]
+        return ((1, nxt2[i2], _ADV2),)
     if i2 >= n2:
-        return [(i1 + 1, i2, nxt1, _ADV1)]
+        return ((down, nxt1[i1], _ADV1),)
     if r <= cap:
-        return [
-            (i1 + 1, i2 + 1, nxt1 + nxt2, _BOTH),
-            (i1, i2 + 1, nxt2, _ONLY2),
-            (i1 + 1, i2, nxt1, _ONLY1),
-        ]
-    return [
-        (i1, i2 + 1, r - cap + nxt2, _FIN2_SURPLUS1),
-        (i1 + 1, i2, nxt1 + r - cap, _FIN1_SURPLUS2),
-    ]
+        return (
+            (down + 1, nxt1[i1] + nxt2[i2], _BOTH),
+            (1, nxt2[i2], _ONLY2),
+            (down, nxt1[i1], _ONLY1),
+        )
+    return (
+        (1, r - cap + nxt2[i2], _FIN2_SURPLUS1),
+        (down, nxt1[i1] + r - cap, _FIN1_SURPLUS2),
+    )
+
+
+def _start(a1: list[int], a2: list[int]):
+    """The empty flat DP state: ``(best_t, best_r, parent, nxt1, nxt2)``.
+
+    ``best_t[c], best_r[c]`` is cell ``c``'s ``(t, r)`` (``t = -1``:
+    not reached yet) and ``parent[c]`` the move into it; the start
+    cell ``(0, 0)`` is reached at ``(0, a1[0] + a2[0])``.
+    """
+    best_t = [-1] * ((len(a1) + 1) * (len(a2) + 1))
+    best_r = best_t[:]
+    parent: list[str | None] = [None] * len(best_t)
+    best_t[0], best_r[0] = 0, a1[0] + a2[0]
+    return best_t, best_r, parent, a1[1:] + [0], a2[1:] + [0]
 
 
 def _table(
     a1: list[int], a2: list[int], cap: int
-) -> tuple[int, dict[_Cell, str], int]:
-    """The diagonal table fill: ``(makespan, parent moves, cells expanded)``."""
+) -> tuple[int, list[str | None], int]:
+    """The diagonal table fill: ``(makespan, parent moves, cells expanded)``.
+
+    The parent moves are flat: the move into cell ``(i1, i2)`` sits at
+    ``i1 * (n2 + 1) + i2`` (None for a cell never reached).
+    """
     n1, n2 = len(a1), len(a2)
-    # best[(i1, i2)] = (t, r); parent[(i1, i2)] = move into the cell
-    best: dict[_Cell, tuple[int, int]] = {(0, 0): (0, a1[0] + a2[0])}
-    parent: dict[_Cell, str] = {}
+    best_t, best_r, parent, nxt1, nxt2 = _start(a1, a2)
     expanded = 0
 
     # Diagonal-by-diagonal fill: every transition increases i1 + i2 by
     # exactly one, so values on diagonal l are final when processing it.
     for level in range(0, n1 + n2):
         for i1 in range(max(0, level - n2), min(level, n1) + 1):
-            value = best.get((i1, level - i1))
-            if value is None:
+            cell = i1 * n2 + level  # i1 * (n2 + 1) + (level - i1)
+            t = best_t[cell]
+            if t < 0:
                 continue
             expanded += 1
-            st = value[0] + 1
-            for s1, s2, sr, move in _successors(
-                i1, level - i1, value[1], a1, a2, cap
+            st = t + 1
+            for step, sr, move in _successors(
+                i1, level - i1, best_r[cell], nxt1, nxt2, cap
             ):
-                old = best.get((s1, s2))
-                if old is None or (st, sr) < old:
-                    best[(s1, s2)] = (st, sr)
-                    parent[(s1, s2)] = move
-    return best[(n1, n2)][0], parent, expanded
+                target = cell + step
+                old = best_t[target]
+                if old < 0 or st < old or (st == old and sr < best_r[target]):
+                    best_t[target] = st
+                    best_r[target] = sr
+                    parent[target] = move
+    return best_t[-1], parent, expanded
 
 
 def _pq(
     a1: list[int], a2: list[int], cap: int
-) -> tuple[int, dict[_Cell, str], int]:
-    """The priority-queue fill: ``(makespan, parent moves, cells expanded)``."""
-    n1, n2 = len(a1), len(a2)
-    best: dict[_Cell, tuple[int, int]] = {(0, 0): (0, a1[0] + a2[0])}
-    parent: dict[_Cell, str] = {}
+) -> tuple[int, list[str | None], int]:
+    """The priority-queue fill: ``(makespan, parent moves, cells expanded)``.
+
+    The parent moves are flat, as :func:`_table` returns them.
+    """
+    width = len(a2) + 1
+    best_t, best_r, parent, nxt1, nxt2 = _start(a1, a2)
+    final = len(best_t) - 1
     # Heap ordered by (level, t, r): levels are processed in order, and
-    # within a level the best value for a cell pops first.
-    heap: list[tuple[int, int, int, int, int]] = [(0, 0, a1[0] + a2[0], 0, 0)]
-    settled: set[_Cell] = set()
+    # within a level the best value for a cell pops first.  Ties fall
+    # to the flat cell index, which orders cells as ``(i1, i2)`` does.
+    heap: list[tuple[int, int, int, int]] = [(0, 0, best_r[0], 0)]
+    settled = [False] * len(best_t)
     expanded = 0
 
     while heap:
-        _, t, r, i1, i2 = heapq.heappop(heap)
-        key = (i1, i2)
-        if key in settled or best[key] != (t, r):
+        level, t, r, cell = heapq.heappop(heap)
+        if settled[cell] or best_t[cell] != t or best_r[cell] != r:
             continue  # settled already, or a stale entry
-        settled.add(key)
+        settled[cell] = True
         expanded += 1
-        if key == (n1, n2):
+        if cell == final:
             return t, parent, expanded
-        for s1, s2, sr, move in _successors(i1, i2, r, a1, a2, cap):
-            skey = (s1, s2)
-            if skey in settled:
+        i1, i2 = divmod(cell, width)
+        st = t + 1
+        for step, sr, move in _successors(i1, i2, r, nxt1, nxt2, cap):
+            target = cell + step
+            if settled[target]:
                 continue
-            old = best.get(skey)
-            if old is None or (t + 1, sr) < old:
-                best[skey] = (t + 1, sr)
-                parent[skey] = move
-                heapq.heappush(heap, (s1 + s2, t + 1, sr, s1, s2))
+            old = best_t[target]
+            if old < 0 or st < old or (st == old and sr < best_r[target]):
+                best_t[target] = st
+                best_r[target] = sr
+                parent[target] = move
+                heapq.heappush(heap, (level + 1, st, sr, target))
     raise SolverError("priority queue exhausted before final cell")  # pragma: no cover
 
 
 def _witness_rows(
-    a1: list[int], a2: list[int], cap: int, parent: dict[_Cell, str]
+    a1: list[int], a2: list[int], cap: int, parent: list[str | None]
 ) -> list[tuple[int, int]]:
-    """Walk the parent chain back from the final cell, then replay it
-    forward tracking the true per-job remaining requirements to emit
-    concrete share vectors (grid units)."""
+    """Walk the (flat) parent chain back from the final cell, then
+    replay it forward tracking the true per-job remaining requirements
+    to emit concrete share vectors (grid units)."""
     n1, n2 = len(a1), len(a2)
     path: list[str] = []
     i1, i2 = n1, n2
     while (i1, i2) != (0, 0):
-        move = parent[(i1, i2)]
+        move = parent[i1 * (n2 + 1) + i2]
         path.append(move)
         d1, d2 = _DELTA[move]
         i1, i2 = i1 - d1, i2 - d2

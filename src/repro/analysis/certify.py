@@ -26,7 +26,9 @@ Two certification modes:
     "no queue order lets this policy finish sooner than ``value``",
     which is exactly the quantity ``LocalSearchSequencer`` chases
     heuristically.  Works for any instance the backends accept
-    (multi-resource, arrivals, non-unit sizes).
+    (multi-resource, arrivals, non-unit sizes).  For the makespan on
+    the oracles' model, an order runs only while its fixed-order
+    optimum is still below the incumbent.
 
 Telemetry: under an installed session, certification emits a
 ``certify.opt`` span and ``certify.nodes`` / ``certify.pruned`` /
@@ -69,14 +71,19 @@ class Certificate:
             ``instance.with_order([list(row) for row in order])``
             reproduces it.
         nodes: branch-and-bound nodes expanded.
-        bound_calls: prefix-oracle lower-bound evaluations.
+        bound_calls: fixed-order oracle calls made as lower bounds: on
+            committed prefixes and, when a *policy* is certified for
+            the makespan, also on whole orders before they run.
         proved: True iff the search closed every branch within the
             node budget -- only then may ``value`` be used as a lower
             bound on other runs.
         mode: ``"exact"`` (per-order exact oracles) or ``"epsilon"``
             (policy through a float64 backend).
-        pruned: subtrees cut by the bound test.
-        leaf_evaluations: complete orders actually evaluated.
+        pruned: subtrees cut by the bound test and, with a *policy*
+            (makespan), also the whole orders, seeds included, whose
+            bound already met the incumbent, so the policy never ran.
+        leaf_evaluations: complete orders actually evaluated: oracle
+            calls without a *policy*, policy runs with one.
         lower_bound: order-invariant global lower bound used at the
             root (``lower_bound <= value`` always).
         order_space: ``prod_i n_i!`` -- the unreduced search space.
@@ -175,7 +182,13 @@ def certify_opt(
     the epsilon mode: leaves are evaluated by simulating the policy
     through *backend* (and optionally a registered *objective*), so
     the certificate bounds what any queue order can achieve **for that
-    policy**.
+    policy**.  For the makespan, a policy leaf is first bounded by its
+    fixed-order optimum and runs only when that bound is below the
+    incumbent; the certificate is the same, with fewer runs.  So with
+    a policy, ``leaf_evaluations`` counts policy runs, and
+    ``bound_calls`` / ``pruned`` also count the whole orders bounded
+    and skipped; without one, the oracle's calls on whole orders,
+    prefixes and cut subtrees (see :class:`Certificate`).
 
     Args:
         instance: the instance to certify.

@@ -132,9 +132,10 @@ class Job:
     #: equality/hash.
     requirement: Fraction = field(compare=False)
     #: Memoized :func:`hash` -- ``Fraction`` hashing is slow and the
-    #: same ``Job`` objects recur in hashed keys: certification's
-    #: value keys and ``Instance.same_bag``'s counts (the job tables key
-    #: their rows by integers instead, see :mod:`repro.core.table`).
+    #: same ``Job`` objects recur in hashed keys such as
+    #: ``Instance.same_bag``'s counts (the job tables, and the
+    #: certification search's value keys, key rows by integers
+    #: instead, see :mod:`repro.core.table`).
     _hash: int | None = field(compare=False, repr=False)
 
     def __init__(

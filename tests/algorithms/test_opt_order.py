@@ -10,13 +10,19 @@ available at k=2).
 """
 
 import random
+from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
+    available_policies,
     branch_and_bound_order,
     enumerate_order_optimum,
     exact_order_makespan,
+    get_policy,
     identity_order,
     order_invariant_lower_bound,
     order_space_size,
@@ -226,3 +232,54 @@ class TestSearchMechanics:
         inst = Instance([["1"], ["1"]])
         result = branch_and_bound_order(inst)
         assert result.proved and result.nodes == 0 and result.value == 2
+
+
+# ----------------------------------------------------------------------
+# The bound every pruning rule rests on: OPT(order) <= policy(order)
+# ----------------------------------------------------------------------
+VECTOR_POLICIES = [
+    name for name in available_policies() if get_policy(name).supports_vector
+]
+
+
+@st.composite
+def _grid_instances(draw) -> Instance:
+    """m in {1, 2, 3} queues, at most 5 unit jobs, requirements on a grid."""
+    d = draw(st.sampled_from((2, 3, 4, 10)))
+    m = draw(st.sampled_from((1, 2, 3)))
+    lengths = [draw(st.sampled_from((1, 2, 3))) for _ in range(m)]
+    while sum(lengths) > 5:
+        lengths[lengths.index(max(lengths))] -= 1
+    return Instance(
+        [[Fraction(draw(st.integers(0, d)), d) for _ in range(n)] for n in lengths]
+    )
+
+
+class TestLeafBoundAdmissible:
+    """The fixed-order optimum never exceeds a policy's makespan.
+
+    The prefix bounds and the policy-leaf bound of
+    :func:`branch_and_bound_order` both stand on this inequality, for
+    every order of the instance, every vector-capable policy and both
+    backends.
+    """
+
+    def test_every_registered_policy_is_covered(self):
+        assert "greedy-balance" in VECTOR_POLICIES
+        assert "round-robin" in VECTOR_POLICIES
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(inst=_grid_instances())
+    def test_oracle_bounds_every_policy_on_every_order(self, inst):
+        rows = [permutations(range(inst.num_jobs(i))) for i in range(inst.m)]
+        for order in product(*rows):
+            ordered = inst.with_order([list(row) for row in order])
+            bound = exact_order_makespan(ordered)
+            for policy in VECTOR_POLICIES:
+                for backend in ("exact", "vector"):
+                    makespan = run_policy(
+                        ordered, policy, backend=backend, record_shares=False
+                    ).makespan
+                    assert bound <= makespan, (order, policy, backend)
